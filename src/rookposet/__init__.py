@@ -5,16 +5,12 @@ from .board import (
     ChainDecomposition,
     RankMatrix,
     RookPlacement,
-    RootOrder,
-    bruhat_leq,
     cell_leq,
     cell_lt,
     chains,
-    compare_cells,
     diagonal_normalizer,
     empty_placement,
     from_json,
-    inversions,
     involution_placement,
     kerov_involution,
     leq,
@@ -25,7 +21,6 @@ from .board import (
     to_json,
 )
 from .exactlin import (
-    RandomSpec,
     Scope,
     SkewForm,
     check_polarization,
@@ -33,10 +28,10 @@ from .exactlin import (
     kirillov_form,
     placement_form,
     rank_profile,
-    sample_borel,
     squared_corner,
     tangent_dimension,
 )
+from .permutations import bruhat_leq, inversions
 from .polarization import (
     MPData,
     OrbitDimensions,
@@ -49,19 +44,17 @@ from .poset import (
     CoverMove,
     MoveKind,
     PosetIndex,
-    VerificationReport,
     bell_number,
-    brute_force_lower_covers,
     cover_moves,
     enumerate_placements,
     hasse_dot,
     maximal_element,
-    order_property_suite,
     poset_index,
     raw_move,
     removable_rooks,
     verify_covers,
 )
+from .suites import VerificationReport, run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

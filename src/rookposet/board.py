@@ -7,7 +7,6 @@ everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -23,15 +22,6 @@ class Cell(NamedTuple):
         return f"({self.row},{self.col})"
 
 
-class RootOrder(Enum):
-    """Verdict of the positive-root order (a,b) <= (c,d) iff a <= c and b >= d."""
-
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
 def cell_leq(a: Cell, b: Cell) -> bool:
     """South-West dominance: a <= b iff a.row <= b.row and a.col >= b.col."""
     return a.row <= b.row and a.col >= b.col
@@ -39,16 +29,6 @@ def cell_leq(a: Cell, b: Cell) -> bool:
 
 def cell_lt(a: Cell, b: Cell) -> bool:
     return a != b and cell_leq(a, b)
-
-
-def compare_cells(a: Cell, b: Cell) -> RootOrder:
-    if a == b:
-        return RootOrder.EQUAL
-    if cell_leq(a, b):
-        return RootOrder.LESS
-    if cell_leq(b, a):
-        return RootOrder.GREATER
-    return RootOrder.INCOMPARABLE
 
 
 @dataclass(frozen=True)
@@ -214,14 +194,6 @@ def permutation_of(D: RookPlacement) -> perms.Perm:
     return tuple(w)
 
 
-def inversions(w: Sequence[int]) -> int:
-    return perms.inversions(w)
-
-
-def bruhat_leq(v: Sequence[int], w: Sequence[int]) -> bool:
-    return perms.bruhat_leq(v, w)
-
-
 def kerov_involution(D: RookPlacement) -> perms.Perm:
     """The involution in S_{2n-2} with a transposition (2i-2, 2j-1) per rook."""
     if D.n < 2:
@@ -292,9 +264,17 @@ def to_json(D: RookPlacement) -> dict:
 
 
 def from_json(data: Mapping) -> RookPlacement:
+    """Parse the interchange format; ``n`` and every coordinate must be JSON integers."""
     try:
         n = data["n"]
         rooks = data["rooks"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"placement JSON needs 'n' and 'rooks' keys: {exc}") from exc
+    if type(n) is not int:  # bool is a subclass of int, so isinstance would admit it
+        raise ValueError(f"placement JSON 'n' must be an integer, got {n!r}")
+    if not isinstance(rooks, list):
+        raise ValueError(f"placement JSON 'rooks' must be a list, got {rooks!r}")
+    for rook in rooks:
+        if not (isinstance(rook, list) and len(rook) == 2 and all(type(x) is int for x in rook)):
+            raise ValueError(f"each rook must be an integer pair [row, col], got {rook!r}")
     return placement(n, rooks)

@@ -29,14 +29,6 @@ class Scope(Enum):
     BOREL = "borel"
 
 
-@dataclass(frozen=True)
-class RandomSpec:
-    """Deterministic sampling parameters; equal specs reproduce equal samples."""
-
-    seed: int
-    bound: int = 3
-
-
 # ---------------------------------------------------------------------------
 # Basic matrix helpers
 
@@ -376,7 +368,8 @@ def check_polarization(D: RookPlacement, scalars=None) -> PolarizationReport:
 # Deterministic sampling
 
 
-def _draw_upper(n: int, rng: random.Random, bound: int, scope: Scope) -> Matrix:
+def random_upper(n: int, rng: random.Random, bound: int, scope: Scope) -> Matrix:
+    """Invertible upper-triangular sample: [-bound, bound] above a diagonal of 1 or [1, bound]."""
     mat = zeros(n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -384,19 +377,6 @@ def _draw_upper(n: int, rng: random.Random, bound: int, scope: Scope) -> Matrix:
     for i in range(n):
         mat[i][i] = Fraction(1) if scope is Scope.UNIPOTENT else Fraction(rng.randint(1, bound))
     return mat
-
-
-def sample_borel(n: int, spec: RandomSpec, scope: Scope) -> Matrix:
-    """One invertible upper-triangular sample, deterministic in the spec."""
-    if n < 1:
-        raise ValueError("board size must be at least 1")
-    return _draw_upper(n, random.Random(spec.seed), spec.bound, scope)
-
-
-def borel_samples(n: int, spec: RandomSpec, scope: Scope, count: int) -> list[Matrix]:
-    """A deterministic stream of samples; the first equals sample_borel."""
-    rng = random.Random(spec.seed)
-    return [_draw_upper(n, rng, spec.bound, scope) for _ in range(count)]
 
 
 def random_scalars(D: RookPlacement, rng: random.Random, bound: int = 3) -> dict[Cell, Fraction]:
@@ -424,16 +404,3 @@ def squared_corner(form: Matrix) -> Fraction:
     if n != 4:
         raise WrongBoardSize(f"defined only on the 4-board, got n={n}")
     return form[3][1] * form[1][0] + form[3][2] * form[2][0]
-
-
-# ---------------------------------------------------------------------------
-# Rational wire format
-
-
-def format_rational(x: Fraction) -> str:
-    """Canonical lowest-terms string: "0", "7", "-5/2"."""
-    return str(Fraction(x))
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import Cell, RookPlacement, inversions, permutation_of
+from .board import Cell, RookPlacement, permutation_of
 from .errors import BoundViolation
+from .permutations import inversions
 
 
 @dataclass(frozen=True)

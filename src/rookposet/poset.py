@@ -9,8 +9,7 @@ with a witness.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -23,9 +22,6 @@ from .board import (
     RookPlacement,
     cell_leq,
     cell_lt,
-    kerov_involution,
-    leq,
-    permutation_of,
     placement,
     rank_matrix,
     to_json,
@@ -316,9 +312,6 @@ class PosetIndex:
         except KeyError:
             raise NotIndexed(f"{D} is not a placement of the {self.n}-board index") from None
 
-    def leq_ids(self, a: int, b: int) -> bool:
-        return bool(self.le[a, b])
-
     def lower_cover_ids(self, d: int) -> list[int]:
         return [int(t) for t in np.nonzero(self.covers[:, d])[0]]
 
@@ -349,43 +342,18 @@ def poset_index(n: int) -> PosetIndex:
     return PosetIndex(n, all_placements, _pairwise_leq(rank_rows))
 
 
-def brute_force_lower_covers(index: PosetIndex, D: RookPlacement) -> frozenset[RookPlacement]:
-    """Lower covers computed purely from rank-matrix comparisons."""
-    return frozenset(index.lower_covers(D))
+def bruhat_relation(ws: Sequence[perms.Perm]) -> np.ndarray:
+    """le[a, b] is True iff ws[a] <= ws[b] in the Bruhat order, by dominance tables."""
+    tables = np.array([perms.dominance_table(w) for w in ws], dtype=np.int16)
+    return _pairwise_leq(tables.reshape(len(ws), -1))
 
 
-# ---------------------------------------------------------------------------
-# Verification reports
+def verify_covers(n: int) -> tuple[int, list[dict]]:
+    """Compare the move calculus with the brute-force covers, placement by placement.
 
-
-@dataclass
-class VerificationReport:
-    suite: str
-    n: int
-    checked: int
-    failures: list[dict] = field(default_factory=list)
-    seed: int = 0
-    millis: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "checked": self.checked,
-            "failures": self.failures,
-            "seed": self.seed,
-            "millis": self.millis,
-        }
-
-
-def verify_covers(n: int, index: PosetIndex | None = None) -> VerificationReport:
-    """Compare the move calculus with the brute-force covers, placement by placement."""
-    t0 = time.perf_counter()
-    idx = index if index is not None else poset_index(n)
+    Returns the number of placements checked and one witness per mismatch.
+    """
+    idx = poset_index(n)
     failures: list[dict] = []
     for d, D in enumerate(idx.placements):
         expected = set(idx.lower_cover_ids(d))
@@ -398,8 +366,7 @@ def verify_covers(n: int, index: PosetIndex | None = None) -> VerificationReport
                     "extra": [to_json(idx.placements[t]) for t in sorted(got - expected)],
                 }
             )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("thm33", n, len(idx.placements), failures, 0, millis)
+    return len(idx.placements), failures
 
 
 # ---------------------------------------------------------------------------
@@ -411,84 +378,6 @@ def maximal_element(n: int) -> RookPlacement:
     if n < 1:
         raise ValueError("board size must be at least 1")
     return placement(n, [(n - k + 1, k) for k in range(1, n // 2 + 1)])
-
-
-# ---------------------------------------------------------------------------
-# Order properties (embedding and the doubled-involution equivalence)
-
-
-def _named_checks_n4() -> list[dict]:
-    """Fixed 4-board witness pairs exercised alongside the exhaustive sweeps."""
-    failures: list[dict] = []
-    chain = placement(4, [(2, 1), (3, 2), (4, 3)])
-    orth = placement(4, [(3, 1), (4, 2)])
-    w_chain, w_orth = permutation_of(chain), permutation_of(orth)
-    if not leq(chain, orth):
-        failures.append({"check": "chain-below-orthogonal", "expected": True})
-    if perms.bruhat_leq(w_chain, w_orth) or perms.bruhat_leq(w_orth, w_chain):
-        failures.append({"check": "attached-permutations-incomparable", "expected": True})
-
-    low = placement(4, [(3, 2), (4, 3)])
-    high = placement(4, [(2, 1), (3, 2)])
-    if rank_matrix(low) == rank_matrix(high):
-        failures.append({"check": "rank-matrices-differ", "expected": True})
-    if leq(low, high) or leq(high, low):
-        failures.append({"check": "shifted-chains-incomparable", "expected": True})
-    return failures
-
-
-def order_property_suite(n: int, index: PosetIndex | None = None) -> VerificationReport:
-    """Exhaustive pairwise order checks on one board.
-
-    (a) comparability of the attached permutations implies comparability of
-        the placements; (b) the placement order coincides with the Bruhat
-        order on the doubled involutions.  At n = 4 the fixed witness pairs
-        are checked as well.
-    """
-    if not 1 <= n <= 6:
-        raise LimitExceeded(f"pairwise sweeps support 1 <= n <= 6, got {n}")
-    t0 = time.perf_counter()
-    idx = index if index is not None else poset_index(n)
-    count = len(idx.placements)
-    failures: list[dict] = []
-
-    w_tables = _stacked_dominance([permutation_of(D) for D in idx.placements])
-    w_le = _pairwise_leq(w_tables)
-    bad = np.nonzero(w_le & ~idx.le)
-    for a, b in zip(*bad):
-        failures.append(
-            {
-                "check": "permutation-order-embeds",
-                "smaller": to_json(idx.placements[int(a)]),
-                "larger": to_json(idx.placements[int(b)]),
-            }
-        )
-
-    if n >= 2:
-        s_tables = _stacked_dominance([kerov_involution(D) for D in idx.placements])
-        s_le = _pairwise_leq(s_tables)
-        bad = np.nonzero(s_le != idx.le)
-        for a, b in zip(*bad):
-            failures.append(
-                {
-                    "check": "doubled-involution-equivalence",
-                    "first": to_json(idx.placements[int(a)]),
-                    "second": to_json(idx.placements[int(b)]),
-                }
-            )
-
-    if n == 4:
-        failures.extend(_named_checks_n4())
-
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("order-properties", n, count * count, failures, 0, millis)
-
-
-def _stacked_dominance(ws: list[perms.Perm]) -> np.ndarray:
-    tables = [
-        np.asarray(perms.dominance_table(w), dtype=np.int16).reshape(-1) for w in ws
-    ]
-    return np.stack(tables) if tables else np.zeros((0, 0), dtype=np.int16)
 
 
 # ---------------------------------------------------------------------------

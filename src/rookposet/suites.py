@@ -4,11 +4,16 @@ Each suite sweeps every placement of the requested board (sampling only where
 the suite is explicitly sample-based), collects all failures with witnesses,
 and never aborts mid-run.  Sampling is keyed off (seed, placement position),
 so reports are reproducible and independent of any parallel split.
+
+A suite's check returns ``(checked, failures)``; ``run_suite`` is the one
+place that validates the arguments, times the check and builds the report.
 """
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,16 +31,14 @@ from .exactlin import (
     coadjoint,
     placement_form,
     random_scalars,
+    random_upper,
     rank_profile,
     tangent_dimension,
-    _draw_upper,
 )
 from .polarization import dimensions
 from .poset import (
-    VerificationReport,
-    _pairwise_leq,
-    _stacked_dominance,
     bell_number,
+    bruhat_relation,
     enumerate_placements,
     maximal_element,
     poset_index,
@@ -44,6 +47,30 @@ from .poset import (
 
 DEFAULT_SAMPLES = 100
 DEFAULT_BOUND = 3
+
+
+@dataclass
+class VerificationReport:
+    suite: str
+    n: int
+    checked: int
+    failures: list[dict] = field(default_factory=list)
+    seed: int = 0
+    millis: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        return {
+            "suite": self.suite,
+            "n": self.n,
+            "checked": self.checked,
+            "failures": self.failures,
+            "seed": self.seed,
+            "millis": self.millis,
+        }
 
 
 def _rng_for(seed: int, position: int) -> random.Random:
@@ -57,16 +84,13 @@ def _scalar_witness(xi) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_thm15(n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
+def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
     """Rank-profile invariance along orbits.
 
     Exhaustive over placements for n <= 5, else 50 seeded random placements;
     for each, ``samples`` random (group element, scalars) pairs must leave the
     rank profile equal to the rank matrix.
     """
-    if not 1 <= n <= 8:
-        raise LimitExceeded(f"suite thm15 supports 1 <= n <= 8, got {n}")
-    t0 = time.perf_counter()
     everything = enumerate_placements(n)
     if n <= 5:
         chosen = list(enumerate(everything))
@@ -75,15 +99,13 @@ def suite_thm15(n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Verifi
         indices = sorted(picker.sample(range(len(everything)), 50))
         chosen = [(k, everything[k]) for k in indices]
     failures: list[dict] = []
-    tested = 0
     for k, D in chosen:
         expected = [list(row) for row in rank_matrix(D).entries]
         rng = _rng_for(seed, k)
         for s in range(samples):
             xi = random_scalars(D, rng, DEFAULT_BOUND)
-            b = _draw_upper(n, rng, DEFAULT_BOUND, Scope.BOREL)
+            b = random_upper(n, rng, DEFAULT_BOUND, Scope.BOREL)
             lam = coadjoint(b, placement_form(D, xi))
-            tested += 1
             if rank_profile(lam) != expected:
                 failures.append(
                     {
@@ -93,11 +115,10 @@ def suite_thm15(n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Verifi
                         "group_element": [[str(x) for x in row] for row in b],
                     }
                 )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("thm15", n, tested, failures, seed, millis)
+    return len(chosen) * samples, failures
 
 
-def suite_thm24(n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
+def _thm24(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
     """Full polarization and dimension certification for every placement.
 
     Per placement: the closed-form dimensions respect their bounds, the Borel
@@ -105,9 +126,6 @@ def suite_thm24(n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Verifi
     the polarization report passes and the unipotent tangent dimension is
     2|M| (in particular scalar-independent).
     """
-    if not 1 <= n <= 6:
-        raise LimitExceeded(f"suite thm24 supports 1 <= n <= 6, got {n}")
-    t0 = time.perf_counter()
     failures: list[dict] = []
     everything = enumerate_placements(n)
     for k, D in enumerate(everything):
@@ -151,27 +169,15 @@ def suite_thm24(n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Verifi
                         "expected": dims.dim_theta,
                     }
                 )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("thm24", n, len(everything), failures, seed, millis)
+    return len(everything), failures
 
 
-def suite_thm33(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
-    report = verify_covers(n)
-    report.seed = seed
-    return report
-
-
-def suite_cor18(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
+def _cor18(n: int) -> tuple[int, list[dict]]:
     """Placement order == Bruhat order on the doubled involutions, all pairs."""
-    if not 1 <= n <= 6:
-        raise LimitExceeded(f"suite cor18 supports 1 <= n <= 6, got {n}")
-    t0 = time.perf_counter()
     idx = poset_index(n)
-    count = len(idx.placements)
     failures: list[dict] = []
     if n >= 2:
-        tables = _stacked_dominance([kerov_involution(D) for D in idx.placements])
-        sigma_le = _pairwise_leq(tables)
+        sigma_le = bruhat_relation([kerov_involution(D) for D in idx.placements])
         for a, b in zip(*np.nonzero(sigma_le != idx.le)):
             failures.append(
                 {
@@ -181,53 +187,38 @@ def suite_cor18(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
                     "involution_leq": bool(sigma_le[a, b]),
                 }
             )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("cor18", n, count * count, failures, seed, millis)
+    return len(idx.placements) ** 2, failures
 
 
-def suite_proctor(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
+def _proctor(n: int) -> tuple[int, list[dict]]:
     """Comparable attached permutations force comparable placements, all pairs."""
-    if not 1 <= n <= 6:
-        raise LimitExceeded(f"suite proctor supports 1 <= n <= 6, got {n}")
-    t0 = time.perf_counter()
     idx = poset_index(n)
-    count = len(idx.placements)
-    tables = _stacked_dominance([permutation_of(D) for D in idx.placements])
-    w_le = _pairwise_leq(tables)
-    failures: list[dict] = []
-    for a, b in zip(*np.nonzero(w_le & ~idx.le)):
-        failures.append(
-            {
-                "smaller": to_json(idx.placements[int(a)]),
-                "larger": to_json(idx.placements[int(b)]),
-            }
-        )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("proctor", n, count * count, failures, seed, millis)
+    w_le = bruhat_relation([permutation_of(D) for D in idx.placements])
+    failures = [
+        {
+            "smaller": to_json(idx.placements[int(a)]),
+            "larger": to_json(idx.placements[int(b)]),
+        }
+        for a, b in zip(*np.nonzero(w_le & ~idx.le))
+    ]
+    return len(idx.placements) ** 2, failures
 
 
-def suite_d0max(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
+def _d0max(n: int) -> tuple[int, list[dict]]:
     """Every placement sits below the staircase maximal element."""
-    if not 1 <= n <= 8:
-        raise LimitExceeded(f"suite d0max supports 1 <= n <= 8, got {n}")
-    t0 = time.perf_counter()
     top = maximal_element(n)
-    top_row = np.array(rank_matrix(top).flatten_lower(), dtype=np.int16)
+    top_rank = rank_matrix(top)
     everything = enumerate_placements(n)
-    failures: list[dict] = []
-    for D in everything:
-        row = np.array(rank_matrix(D).flatten_lower(), dtype=np.int16)
-        if not (row <= top_row).all():
-            failures.append({"placement": to_json(D), "top": to_json(top)})
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("d0max", n, len(everything), failures, seed, millis)
+    failures = [
+        {"placement": to_json(D), "top": to_json(top)}
+        for D in everything
+        if not rank_matrix(D).dominated_by(top_rank)
+    ]
+    return len(everything), failures
 
 
-def suite_counts(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
+def _counts(n: int) -> tuple[int, list[dict]]:
     """Enumeration count against the Bell triangle, canonical order, round-trips."""
-    if not 1 <= n <= 8:
-        raise LimitExceeded(f"suite counts supports 1 <= n <= 8, got {n}")
-    t0 = time.perf_counter()
     everything = enumerate_placements(n)
     failures: list[dict] = []
     expected = bell_number(n)
@@ -239,26 +230,38 @@ def suite_counts(n: int, seed: int = 0, samples: int = 0) -> VerificationReport:
         back = placement_from_rank_matrix(rank_matrix(D))
         if back != D:
             failures.append({"check": "round-trip", "placement": to_json(D), "got": to_json(back)})
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("counts", n, len(everything), failures, seed, millis)
+    return len(everything), failures
+
+
+class Suite(NamedTuple):
+    check: Callable[..., tuple[int, list[dict]]]
+    max_n: int
+    sampled: bool  # the check takes (n, seed, samples) rather than (n)
 
 
 SUITES = {
-    "thm15": suite_thm15,
-    "thm24": suite_thm24,
-    "thm33": suite_thm33,
-    "cor18": suite_cor18,
-    "proctor": suite_proctor,
-    "d0max": suite_d0max,
-    "counts": suite_counts,
+    "thm15": Suite(_thm15, 8, True),
+    "thm24": Suite(_thm24, 6, True),
+    # a lambda, so that verify_covers is looked up per call and a rebinding is seen
+    "thm33": Suite(lambda n: verify_covers(n), 8, False),
+    "cor18": Suite(_cor18, 6, False),
+    "proctor": Suite(_proctor, 6, False),
+    "d0max": Suite(_d0max, 8, False),
+    "counts": Suite(_counts, 8, False),
 }
-
-ALL_SUITES = ("thm15", "thm24", "thm33", "cor18", "proctor", "d0max", "counts")
 
 
 def run_suite(name: str, n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
+    """Run one named suite on the n-board and report what it checked and found."""
     try:
-        fn = SUITES[name]
+        suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'") from None
-    return fn(n, seed=seed, samples=samples)
+    if not 1 <= n <= suite.max_n:
+        raise LimitExceeded(f"suite {name} supports 1 <= n <= {suite.max_n}, got {n}")
+    if suite.sampled and samples < 1:
+        raise ValueError(f"suite {name} needs at least 1 sample, got {samples}")
+    t0 = time.perf_counter()
+    checked, failures = suite.check(*((n, seed, samples) if suite.sampled else (n,)))
+    millis = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(name, n, checked, failures, seed, millis)

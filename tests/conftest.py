@@ -1,6 +1,15 @@
+import random
+
 import pytest
 
-from rookposet import placement
+from rookposet import Scope, placement
+from rookposet.exactlin import random_upper
+
+
+def upper_samples(n, seed, count, bound=3):
+    """``count`` invertible Borel matrices drawn from one random.Random(seed)."""
+    rng = random.Random(seed)
+    return [random_upper(n, rng, bound, Scope.BOREL) for _ in range(count)]
 
 
 @pytest.fixture

@@ -9,10 +9,8 @@ from fractions import Fraction
 from rookposet import (
     Cell,
     MoveKind,
-    RandomSpec,
     Scope,
     bell_number,
-    brute_force_lower_covers,
     chains,
     coadjoint,
     cover_moves,
@@ -23,19 +21,20 @@ from rookposet import (
     leq,
     maximal_element,
     mp_sets,
-    order_property_suite,
     placement,
     placement_form,
     placement_from_rank_matrix,
     poset_index,
     rank_matrix,
     raw_move,
+    run_suite,
     squared_corner,
     tangent_dimension,
     verify_covers,
 )
-from rookposet.exactlin import borel_samples, diagonal
-from rookposet.suites import suite_thm15, suite_thm24
+from rookposet.exactlin import diagonal
+
+from conftest import upper_samples
 
 GOLDEN = [(3, 1), (6, 2), (7, 3), (5, 4), (8, 6)]
 
@@ -80,9 +79,9 @@ def test_criterion_1_golden_examples(golden8, golden8_rank_table):
 
 def test_criterion_2_rank_invariance():
     t0 = time.perf_counter()
-    report5 = suite_thm15(5, seed=0, samples=100)
+    report5 = run_suite("thm15", 5, seed=0, samples=100)
     assert report5.passed and report5.checked == 52 * 100
-    report8 = suite_thm15(8, seed=0, samples=100)
+    report8 = run_suite("thm15", 8, seed=0, samples=100)
     assert report8.passed and report8.checked == 50 * 100
     _done(2, "rank-profile invariance", t0, budget=120)
 
@@ -91,7 +90,7 @@ def test_criterion_3_polarization_certification():
     t0 = time.perf_counter()
     total = 0
     for n in range(1, 7):
-        report = suite_thm24(n, seed=0, samples=3)
+        report = run_suite("thm24", n, seed=0, samples=3)
         assert report.passed, report.failures[:3]
         total += report.checked
     assert total == sum(bell_number(n) for n in range(1, 7))
@@ -101,20 +100,21 @@ def test_criterion_3_polarization_certification():
 def test_criterion_4_cover_relation():
     t0 = time.perf_counter()
     for n in range(1, 8):
-        report = verify_covers(n)
-        assert report.passed, report.failures[:3]
-        assert report.checked == bell_number(n)
+        checked, failures = verify_covers(n)
+        assert not failures, failures[:3]
+        assert checked == bell_number(n)
     assert time.perf_counter() - t0 < 120
-    report8 = verify_covers(8)
-    assert report8.passed and report8.checked == 4140
+    checked, failures = verify_covers(8)
+    assert not failures and checked == 4140
     _done(4, "cover relation incl. extended 8-board run", t0, budget=900)
 
 
 def test_criterion_5_order_properties():
     t0 = time.perf_counter()
     for n in range(1, 6):
-        report = order_property_suite(n)
-        assert report.passed, report.failures[:3]
+        for suite in ("cor18", "proctor"):
+            report = run_suite(suite, n)
+            assert report.passed, report.failures[:3]
     # the named 4-board pairs, asserted directly as well
     chain = placement(4, [(2, 1), (3, 2), (4, 3)])
     orth = placement(4, [(3, 1), (4, 2)])
@@ -135,7 +135,7 @@ def test_criterion_6_equal_dimension_composite():
     low = placement(4, [(3, 2), (4, 3)])
     high = placement(4, [(2, 1), (3, 2)])
     form_high = placement_form(high)
-    for b in borel_samples(4, RandomSpec(seed=11, bound=3), Scope.BOREL, 100):
+    for b in upper_samples(4, seed=11, count=100):
         assert squared_corner(coadjoint(b, form_high)) == 0
     assert tangent_dimension(placement_form(low), Scope.BOREL) == 2
     assert tangent_dimension(form_high, Scope.BOREL) == 2
@@ -175,7 +175,7 @@ def test_criterion_8_orthogonal_sharpness():
 def test_criterion_9_guard_regression(golden8):
     t0 = time.perf_counter()
     index = poset_index(8)
-    covers = brute_force_lower_covers(index, golden8)
+    covers = set(index.lower_covers(golden8))
     produced = {m.result for m in cover_moves(golden8)}
     assert produced == covers
 

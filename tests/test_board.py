@@ -5,10 +5,10 @@ import pytest
 
 from rookposet import (
     Cell,
-    RootOrder,
     bruhat_leq,
     chains,
-    compare_cells,
+    cell_leq,
+    cell_lt,
     diagonal_normalizer,
     empty_placement,
     enumerate_placements,
@@ -188,10 +188,10 @@ def test_partial_order_axioms_exhaustive():
 
 
 def test_compare_cells():
-    assert compare_cells(Cell(5, 4), Cell(6, 2)) is RootOrder.LESS
-    assert compare_cells(Cell(6, 2), Cell(5, 4)) is RootOrder.GREATER
-    assert compare_cells(Cell(3, 2), Cell(4, 3)) is RootOrder.INCOMPARABLE
-    assert compare_cells(Cell(4, 2), Cell(4, 2)) is RootOrder.EQUAL
+    assert cell_lt(Cell(5, 4), Cell(6, 2))  # less, hence not greater
+    assert not cell_leq(Cell(6, 2), Cell(5, 4))
+    assert not cell_leq(Cell(3, 2), Cell(4, 3)) and not cell_leq(Cell(4, 3), Cell(3, 2))
+    assert cell_leq(Cell(4, 2), Cell(4, 2)) and not cell_lt(Cell(4, 2), Cell(4, 2))
 
 
 # --- chains and permutations ------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,27 @@ def test_verify_limit_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, samples", [("thm15", "-3"), ("thm24", "0")])
+def test_verify_without_samples_is_usage_error(suite, samples, capsys):
+    # a sampled suite that checked nothing must not report PASS
+    assert run(["verify", "--n", "3", "--suite", suite, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_reports_match_golden(capsys):
+    # the reports of every suite, pinned with millis dropped
+    golden = json.loads((Path(__file__).parent / "data" / "verify_all_seed7_samples2.json").read_text())
+    for k in range(1, 6):
+        argv = ["verify", "--suite", "all", "--n", str(k), "--samples", "2", "--seed", "7", "--json"]
+        assert run(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        for report in reports:
+            del report["millis"]
+        assert reports == golden[str(k)]
+
+
 def test_enumerate_count_only(capsys):
     assert run(["enumerate", "--n", "4", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "15"
@@ -123,6 +145,29 @@ def test_invalid_placement_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 4, "rooks": [[3, 1], [3, 2]]}))
     assert run(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": "8", "rooks": []}',
+        '{"n": 4.0, "rooks": []}',
+        '{"n": true, "rooks": []}',
+        '{"n": 4, "rooks": 5}',
+        '{"n": 4, "rooks": null}',
+        '{"n": 4, "rooks": [3, 1]}',
+        '{"n": 4, "rooks": [[3.7, 1]]}',
+        '{"n": 4, "rooks": [[3, true]]}',
+        '{"n": 4, "rooks": [["3", 1]]}',
+        '{"n": 4, "rooks": [[3, 1, 2]]}',
+    ],
+)
+def test_malformed_placement_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from rookposet import (
-    RandomSpec,
     Scope,
     check_polarization,
     coadjoint,
@@ -16,24 +15,23 @@ from rookposet import (
     placement_form,
     rank_matrix,
     rank_profile,
-    sample_borel,
     squared_corner,
     tangent_dimension,
 )
 from rookposet.exactlin import (
-    borel_samples,
     diagonal,
-    format_rational,
     fraction_rank,
     identity,
     integer_rank,
     mat_mul,
     matrix_rank,
-    parse_rational,
     random_scalars,
+    random_upper,
     zeros,
 )
 from rookposet.errors import NotInvertible, NotUpperTriangular, WrongBoardSize
+
+from conftest import upper_samples
 
 
 # --- forms -------------------------------------------------------------------
@@ -81,8 +79,7 @@ def test_coadjoint_normalizer_sweep():
 
 
 def test_coadjoint_is_group_action():
-    spec = RandomSpec(seed=7, bound=3)
-    samples = borel_samples(5, spec, Scope.BOREL, 100)
+    samples = upper_samples(5, seed=7, count=100)
     D = placement(5, [(3, 1), (5, 2), (4, 3)])
     form = placement_form(D)
     for k in range(0, 100, 2):
@@ -125,7 +122,7 @@ def test_rank_profile_orbit_invariance_sampled():
         expected = [list(row) for row in rank_matrix(D).entries]
         for k in range(20):
             xi = random_scalars(D, rng)
-            b = borel_samples(4, RandomSpec(seed=100 + k, bound=3), Scope.BOREL, 1)[0]
+            b = random_upper(4, random.Random(100 + k), 3, Scope.BOREL)
             assert rank_profile(coadjoint(b, placement_form(D, xi))) == expected
 
 
@@ -214,22 +211,21 @@ def test_check_polarization_chain6(chain6):
 
 
 def test_sample_borel_shape_unipotent():
-    mat = sample_borel(2, RandomSpec(seed=1, bound=1), Scope.UNIPOTENT)
+    mat = random_upper(2, random.Random(1), 1, Scope.UNIPOTENT)
     assert mat[0][0] == 1 and mat[1][1] == 1 and mat[1][0] == 0
     assert mat[0][1] in (-1, 0, 1)
 
 
 def test_sample_borel_deterministic():
-    spec = RandomSpec(seed=123, bound=4)
-    assert sample_borel(5, spec, Scope.BOREL) == sample_borel(5, spec, Scope.BOREL)
-    a = borel_samples(5, spec, Scope.BOREL, 10)
-    b = borel_samples(5, spec, Scope.BOREL, 10)
+    first = random_upper(5, random.Random(123), 4, Scope.BOREL)
+    assert first == random_upper(5, random.Random(123), 4, Scope.BOREL)
+    a = upper_samples(5, seed=123, count=10, bound=4)
+    b = upper_samples(5, seed=123, count=10, bound=4)
     assert a == b
-    assert a[0] == sample_borel(5, spec, Scope.BOREL)
 
 
 def test_sample_borel_always_invertible():
-    for mat in borel_samples(4, RandomSpec(seed=2, bound=3), Scope.BOREL, 1000):
+    for mat in upper_samples(4, seed=2, count=1000):
         for i in range(4):
             assert mat[i][i] != 0
             for j in range(i):
@@ -245,7 +241,7 @@ def test_squared_corner_vanishes_at_base_point():
 
 def test_squared_corner_vanishes_on_orbit_samples():
     form = placement_form(placement(4, [(2, 1), (3, 2)]))
-    for b in borel_samples(4, RandomSpec(seed=11, bound=3), Scope.BOREL, 100):
+    for b in upper_samples(4, seed=11, count=100):
         assert squared_corner(coadjoint(b, form)) == 0
 
 
@@ -285,7 +281,7 @@ def test_matrix_rank_with_denominators():
 
 @pytest.mark.parametrize("text", ["0", "7", "-3", "5/2", "-11/33"])
 def test_rational_round_trip(text):
-    value = parse_rational(text)
-    canonical = format_rational(value)
-    assert parse_rational(canonical) == value
-    assert format_rational(parse_rational("-11/33")) == "-1/3"
+    value = Fraction(text)
+    canonical = str(value)
+    assert Fraction(canonical) == value
+    assert str(Fraction("-11/33")) == "-1/3"

@@ -7,18 +7,17 @@ from rookposet import (
     MoveKind,
     VerificationReport,
     bell_number,
-    brute_force_lower_covers,
     cover_moves,
     empty_placement,
     enumerate_placements,
     hasse_dot,
     leq,
     maximal_element,
-    order_property_suite,
     placement,
     poset_index,
     raw_move,
     removable_rooks,
+    run_suite,
     verify_covers,
 )
 from rookposet.errors import LimitExceeded, NotIndexed, UndefinedMove
@@ -165,15 +164,15 @@ def test_raw_move_undefined():
 
 def test_brute_force_covers_small():
     index = poset_index(3)
-    covers = brute_force_lower_covers(index, placement(3, [(3, 1)]))
-    assert covers == {placement(3, [(2, 1), (3, 2)])}
-    assert brute_force_lower_covers(index, empty_placement(3)) == frozenset()
+    covers = index.lower_covers(placement(3, [(3, 1)]))
+    assert covers == [placement(3, [(2, 1), (3, 2)])]
+    assert index.lower_covers(empty_placement(3)) == []
 
 
 def test_brute_force_not_indexed():
     index = poset_index(3)
     with pytest.raises(NotIndexed):
-        brute_force_lower_covers(index, empty_placement(4))
+        index.lower_covers(empty_placement(4))
 
 
 def test_index_relation_agrees_with_leq():
@@ -182,19 +181,19 @@ def test_index_relation_agrees_with_leq():
     index = poset_index(4)
     for a in range(15):
         for b in range(15):
-            assert index.leq_ids(a, b) == leq(index.placements[a], index.placements[b])
+            assert index.le[a, b] == leq(index.placements[a], index.placements[b])
     index = poset_index(5)
     rng = random.Random(1)
     for _ in range(300):
         a, b = rng.randrange(52), rng.randrange(52)
-        assert index.leq_ids(a, b) == leq(index.placements[a], index.placements[b])
+        assert index.le[a, b] == leq(index.placements[a], index.placements[b])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_verify_covers_small_boards(n):
-    report = verify_covers(n)
-    assert report.passed
-    assert report.checked == bell_number(n)
+    checked, failures = verify_covers(n)
+    assert failures == []
+    assert checked == bell_number(n)
 
 
 def test_unremovable_minimal_rooks_are_not_covers():
@@ -202,7 +201,7 @@ def test_unremovable_minimal_rooks_are_not_covers():
         index = poset_index(n)
         for D in index.placements:
             minimal, removable = removable_rooks(D)
-            covers = brute_force_lower_covers(index, D)
+            covers = index.lower_covers(D)
             for cell in minimal - removable:
                 dropped = placement(n, [c for c in D.rooks if c != cell])
                 assert leq(dropped, D) and dropped != D
@@ -230,14 +229,16 @@ def test_maximal_element_dominates_everything():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_order_property_suite(n):
-    report = order_property_suite(n)
-    assert report.passed
-    assert report.checked == bell_number(n) ** 2
+    for suite in ("cor18", "proctor"):
+        report = run_suite(suite, n)
+        assert report.passed
+        assert report.checked == bell_number(n) ** 2
 
 
 def test_order_property_limit():
-    with pytest.raises(LimitExceeded):
-        order_property_suite(7)
+    for suite in ("cor18", "proctor"):
+        with pytest.raises(LimitExceeded):
+            run_suite(suite, 7)
 
 
 # --- DOT export ----------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_hasse_dot_node_lines():
 
 
 def test_report_json_fields():
-    report = verify_covers(3)
+    report = run_suite("thm33", 3)
     blob = report.to_json()
     assert set(blob) == {"suite", "n", "checked", "failures", "seed", "millis"}
     json.dumps(blob)  # serializable
