@@ -57,10 +57,13 @@ class RookPlacement:
 def placement(n: int, cells: Iterable[Sequence[int]]) -> RookPlacement:
     """Validate cells and build the canonical (column-sorted) placement.
 
-    Raises OutOfBoard for a cell outside the strict lower triangle and
-    AttackingRooks (with the offending pair as witness) for a repeated row
-    or column.
+    ``n`` and every coordinate must be ``int`` (not bool, float or str);
+    anything else raises ValueError.  Raises OutOfBoard for a cell outside the
+    strict lower triangle and AttackingRooks (with the offending pair as
+    witness) for a repeated row or column.
     """
+    if type(n) is not int:  # bool is a subclass of int, so isinstance would admit it
+        raise ValueError(f"board size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"board size must be at least 1, got {n}")
     seen_rows: dict[int, Cell] = {}
@@ -68,7 +71,9 @@ def placement(n: int, cells: Iterable[Sequence[int]]) -> RookPlacement:
     rooks: list[Cell] = []
     for raw in cells:
         i, j = raw
-        cell = Cell(int(i), int(j))
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"rook coordinates must be integers, got {raw!r}")
+        cell = Cell(i, j)
         if not 1 <= cell.col < cell.row <= n:
             raise OutOfBoard(cell, n)
         if cell.row in seen_rows:
@@ -270,11 +275,9 @@ def from_json(data: Mapping) -> RookPlacement:
         rooks = data["rooks"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"placement JSON needs 'n' and 'rooks' keys: {exc}") from exc
-    if type(n) is not int:  # bool is a subclass of int, so isinstance would admit it
-        raise ValueError(f"placement JSON 'n' must be an integer, got {n!r}")
     if not isinstance(rooks, list):
         raise ValueError(f"placement JSON 'rooks' must be a list, got {rooks!r}")
     for rook in rooks:
-        if not (isinstance(rook, list) and len(rook) == 2 and all(type(x) is int for x in rook)):
+        if not (isinstance(rook, list) and len(rook) == 2):
             raise ValueError(f"each rook must be an integer pair [row, col], got {rook!r}")
-    return placement(n, rooks)
+    return placement(n, rooks)  # which admits only integer n and coordinates

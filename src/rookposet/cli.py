@@ -16,10 +16,14 @@ from .board import (
     rank_matrix,
     to_json,
 )
-from .errors import RookError
+from .errors import LimitExceeded, RookError
 from .polarization import dimensions, mp_sets
 from .poset import cover_moves, enumerate_placements, hasse_dot, poset_index
 from .suites import DEFAULT_SAMPLES, SUITES, run_suite
+
+
+#: largest board ``analyze`` accepts; its rank matrix is dense, n^2 entries
+ANALYZE_LIMIT = 1000
 
 
 def _dump(obj) -> str:
@@ -38,6 +42,8 @@ def _cell_list(cells) -> str:
 
 def cmd_analyze(args) -> int:
     D = _load_placement(args.placement)
+    if D.n > ANALYZE_LIMIT:
+        raise LimitExceeded(f"analyze supports n <= {ANALYZE_LIMIT}, got {D.n}")
     R = rank_matrix(D)
     data = mp_sets(D)
     dims = dimensions(D)

@@ -1,10 +1,18 @@
-"""Exact rational matrix engine: forms, coadjoint action, ranks, dimensions.
+"""Exact matrix engine: forms, coadjoint action, ranks, dimensions.
 
-Matrices are plain lists of lists of Fraction.  Linear forms are strictly
-lower-triangular matrices paired with root cells via the trace form, so the
-(i, j) entry of a form is its value on the elementary matrix e_{j,i}.  Ranks
-are computed fraction-free (rows are scaled to integers, then eliminated by
-the Bareiss scheme), so no rounding happens anywhere.
+Forms and group elements are plain lists of lists of Fraction.  Linear forms
+are strictly lower-triangular matrices paired with root cells via the trace
+form, so the (i, j) entry of a form is its value on the elementary matrix
+e_{j,i}.
+
+Only integers flow through the hot paths.  Every rank computed here, corner
+ranks included, is unchanged by a nonzero scalar, so a rational matrix is
+first scaled to integers by the lcm of its denominators (``_scaled``) and then
+eliminated fraction-free (Bareiss).  The coadjoint action is b·form·adj(b)
+in integers, with the adjugate det(b)·b^{-1} from exact integer back
+substitution, divided once at the end.  The South-West rank profile comes
+from a single bottom-up elimination whose pivots are counted per corner.
+No rounding happens anywhere.
 """
 from __future__ import annotations
 
@@ -52,12 +60,13 @@ def diagonal(values: Sequence[object]) -> Matrix:
 
 
 def as_fractions(mat: Sequence[Sequence[object]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in mat]
+    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Product of two square matrices over ints or Fractions, skipping zeros."""
     n = len(a)
-    out = zeros(n)
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -71,23 +80,35 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def strictly_lower(mat: Matrix) -> Matrix:
-    n = len(mat)
-    return [
-        [mat[i][j] if i > j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
+def _scaled(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(scale·mat, scale) with scale the lcm of the entries' denominators.
+
+    Entries are ints or Fractions; the scaled matrix is all ints.
+    """
+    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
 
 
-def upper_inverse(mat: Matrix) -> Matrix:
-    """Inverse of an invertible upper-triangular matrix by back substitution."""
+def _upper_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det, det·mat^{-1}) of an invertible upper-triangular integer matrix.
+
+    Back substitution in integers: every entry of the adjugate is an integer
+    cofactor, so each division by a diagonal entry is exact.
+    """
     n = len(mat)
-    inv = zeros(n)
+    det = math.prod(mat[i][i] for i in range(n))
+    adj = [[0] * n for _ in range(n)]
     for i in reversed(range(n)):
-        inv[i][i] = 1 / mat[i][i]
+        row, d = mat[i], mat[i][i]
+        out = adj[i]
+        out[i] = det // d
         for j in range(i + 1, n):
-            s = sum((mat[i][k] * inv[k][j] for k in range(i + 1, j + 1)), Fraction(0))
-            inv[i][j] = -s / mat[i][i]
-    return inv
+            s = 0
+            for k in range(i + 1, j + 1):
+                if row[k]:
+                    s += row[k] * adj[k][j]
+            out[j] = -s // d
+    return det, adj
 
 
 def _check_form(form: Matrix) -> int:
@@ -135,39 +156,9 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Plain Gaussian elimination over Fraction; oracle for integer_rank."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, nrows) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        for r in range(pr + 1, nrows):
-            if m[r][c] != 0:
-                factor = m[r][c] / m[pr][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[pr])]
-        pr += 1
-        rank += 1
-        if pr == nrows:
-            break
-    return rank
-
-
-def _int_row(row: Sequence[Fraction]) -> list[int]:
-    scale = math.lcm(*(x.denominator for x in row)) if row else 1
-    return [int(x * scale) for x in row]
-
-
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix (row scaling, then Bareiss)."""
-    if not rows:
-        return 0
-    return integer_rank([_int_row(r) for r in rows])
+    """Exact rank of a rational matrix: scale to integers, then Bareiss."""
+    return integer_rank(_scaled(rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +175,11 @@ def placement_form(D: RookPlacement, scalars=None) -> Matrix:
 
 
 def coadjoint(b: Sequence[Sequence[object]], form: Matrix) -> Matrix:
-    """b.form = (b form b^{-1}) restricted to the strict lower triangle."""
+    """b.form = (b form b^{-1}) restricted to the strict lower triangle.
+
+    Computed in integers: with B = c·b and L = s·form integer scalings,
+    B·L·adj(B) = s·det(B)·(b form b^{-1}), divided once at the end.
+    """
     n = _check_form(form)
     bmat = as_fractions(b)
     if len(bmat) != n:
@@ -195,7 +190,16 @@ def coadjoint(b: Sequence[Sequence[object]], form: Matrix) -> Matrix:
                 raise NotUpperTriangular(f"entry ({i + 1},{j + 1}) is nonzero")
         if bmat[i][i] == 0:
             raise NotInvertible(f"zero diagonal entry at ({i + 1},{i + 1})")
-    return strictly_lower(mat_mul(mat_mul(bmat, form), upper_inverse(bmat)))
+    big_b, _ = _scaled(bmat)
+    big_form, scale = _scaled(form)
+    det, adj = _upper_adjugate(big_b)
+    prod = mat_mul(mat_mul(big_b, big_form), adj)
+    den = scale * det
+    zero = Fraction(0)
+    return [
+        [Fraction(prod[i][j], den) if j < i and prod[i][j] else zero for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def rank_profile(form: Matrix) -> list[list[int]]:
@@ -204,14 +208,42 @@ def rank_profile(form: Matrix) -> list[list[int]]:
     Entry (i, j), i > j, is the rank of the submatrix on rows i..n and
     columns 1..j; other entries are 0.  On the form of a placement this
     reproduces its rank matrix, and it is invariant along coadjoint orbits.
+
+    One elimination gives every corner: rows are taken bottom-up, a row's
+    pivot is its leftmost nonzero entry, and that column is cleared in every
+    row above by adding a multiple of the pivot row (then dividing by the gcd).
+    Adding a lower row to a higher one and scaling a row keep every corner
+    rank; at the end the pivots sit in distinct columns, so a corner's rank is
+    the number of pivots inside it.  Row r keeps only its columns < r, the
+    only ones any corner through it reads.
     """
     n = _check_form(form)
-    int_rows = [_int_row(r) for r in form]
+    rows, _ = _scaled(form)
+    pivot_of_row = [n] * n  # n: no pivot
+    for r in reversed(range(n)):
+        row = rows[r]
+        c = next((k for k in range(r) if row[k]), None)
+        if c is None:
+            continue
+        pivot_of_row[r] = c
+        p = row[c]
+        for s in range(c + 1, r):
+            above = rows[s]
+            f = above[c]
+            if f:
+                for k in range(s):
+                    above[k] = p * above[k] - f * row[k]
+                g = math.gcd(*above[:s])
+                if g > 1:
+                    for k in range(s):
+                        above[k] //= g
     out = [[0] * n for _ in range(n)]
-    for i in range(2, n + 1):
-        rows = int_rows[i - 1 :]
-        for j in range(1, i):
-            out[i - 1][j - 1] = integer_rank([r[:j] for r in rows])
+    acc = [0] * n  # acc[j] = pivots in the rows below, in columns <= j
+    for i in reversed(range(n)):
+        c = pivot_of_row[i]
+        for j in range(c, n):
+            acc[j] += 1
+        out[i][:i] = acc[:i]
     return out
 
 
@@ -219,11 +251,11 @@ def rank_profile(form: Matrix) -> list[list[int]]:
 # Orbit dimensions from the infinitesimal action
 
 
-def _bracket_row(form: Matrix, a: int, b: int, cells: Sequence[Cell]) -> list[Fraction]:
+def _bracket_row(form: Sequence[Sequence[int]], a: int, b: int, cells: Sequence[Cell]) -> list[int]:
     """Vectorized lower part of e_{a,b}·form - form·e_{a,b} (1-based a <= b)."""
     row = []
     for r, s in cells:
-        v = Fraction(0)
+        v = 0
         if r == a:
             v += form[b - 1][s - 1]
         if s == b:
@@ -236,15 +268,15 @@ def tangent_dimension(form: Matrix, scope: Scope) -> int:
     """Dimension of the orbit through the form under the chosen group.
 
     Equals the rank of the family (x·form - form·x) over the elementary
-    generators x of the acting Lie algebra.
+    generators x of the acting Lie algebra, taken on the integer-scaled form.
     """
     n = _check_form(form)
+    int_form, _ = _scaled(form)
     cells = all_lower_cells(n)
     gens = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     if scope is Scope.BOREL:
         gens += [(a, a) for a in range(1, n + 1)]
-    rows = [_bracket_row(form, a, b, cells) for a, b in gens]
-    return matrix_rank(rows)
+    return integer_rank([_bracket_row(int_form, a, b, cells) for a, b in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +287,11 @@ def lower_cells_colmajor(n: int) -> list[Cell]:
     return [Cell(i, j) for j in range(1, n) for i in range(j + 1, n + 1)]
 
 
-def _pairing_entry(form: Matrix, x: Cell, y: Cell) -> Fraction:
+def _pairing_entry(form: Matrix, x: Cell, y: Cell):
     """Value of the form on the commutator of the root vectors at x and y."""
     i, j = x
     r, s = y
-    v = Fraction(0)
+    v = 0
     if i == s:
         v += form[r - 1][j - 1]
     if j == r:
@@ -272,18 +304,20 @@ class SkewForm:
     """Commutator pairing on root vectors, basis in column-major cell order."""
 
     cells: tuple[Cell, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction | int, ...], ...]
 
     def rank(self) -> int:
-        return matrix_rank([list(r) for r in self.entries])
+        return matrix_rank(self.entries)
+
+
+def _pairing_rows(form: Matrix, cells: Sequence[Cell]) -> list[list]:
+    return [[_pairing_entry(form, x, y) for y in cells] for x in cells]
 
 
 def kirillov_form(form: Matrix) -> SkewForm:
     n = _check_form(form)
     cells = lower_cells_colmajor(n)
-    entries = tuple(
-        tuple(_pairing_entry(form, x, y) for y in cells) for x in cells
-    )
+    entries = tuple(tuple(row) for row in _pairing_rows(form, cells))
     return SkewForm(tuple(cells), entries)
 
 
@@ -349,7 +383,7 @@ def check_polarization(D: RookPlacement, scalars=None) -> PolarizationReport:
         data.m_cells & frozenset(comp)
     )
 
-    rank = kirillov_form(form).rank()
+    rank = integer_rank(_pairing_rows(_scaled(form)[0], lower_cells_colmajor(D.n)))
     max_ok = rank == 2 * len(data.m_cells)
 
     triple = subalgebra_witness(D)

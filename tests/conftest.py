@@ -1,15 +1,105 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from rookposet import Scope, placement
-from rookposet.exactlin import random_upper
+from rookposet.exactlin import integer_rank, random_upper
 
 
 def upper_samples(n, seed, count, bound=3):
     """``count`` invertible Borel matrices drawn from one random.Random(seed)."""
     rng = random.Random(seed)
     return [random_upper(n, rng, bound, Scope.BOREL) for _ in range(count)]
+
+
+# --- Fraction oracles for the integer engine ----------------------------------
+
+
+def fraction_rank(rows):
+    """Plain Gaussian elimination over Fraction; oracle for integer_rank."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rank = 0
+    pr = 0
+    for c in range(ncols):
+        piv = next((r for r in range(pr, nrows) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        for r in range(pr + 1, nrows):
+            if m[r][c] != 0:
+                factor = m[r][c] / m[pr][c]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[pr])]
+        pr += 1
+        rank += 1
+        if pr == nrows:
+            break
+    return rank
+
+
+def corner_rank_profile(form):
+    """Rank profile as one Bareiss rank per South-West corner, O(n^5) in all."""
+    n = len(form)
+    int_rows = []
+    for row in form:
+        scale = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        int_rows.append([int(Fraction(x) * scale) for x in row])
+    out = [[0] * n for _ in range(n)]
+    for i in range(2, n + 1):
+        rows = int_rows[i - 1 :]
+        for j in range(1, i):
+            out[i - 1][j - 1] = integer_rank([r[:j] for r in rows])
+    return out
+
+
+def fraction_product(a, b):
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k] != 0:
+                for j in range(n):
+                    out[i][j] += Fraction(a[i][k]) * b[k][j]
+    return out
+
+
+def upper_inverse(mat):
+    """Inverse of an invertible upper-triangular matrix by Fraction back substitution."""
+    n = len(mat)
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        inv[i][i] = 1 / Fraction(mat[i][i])
+        for j in range(i + 1, n):
+            s = sum((mat[i][k] * inv[k][j] for k in range(i + 1, j + 1)), Fraction(0))
+            inv[i][j] = -s / mat[i][i]
+    return inv
+
+
+def strictly_lower(mat):
+    n = len(mat)
+    return [[mat[i][j] if i > j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def fraction_coadjoint(b, form):
+    """The coadjoint action strictly_lower(b · form · b^{-1}), all in Fractions."""
+    return strictly_lower(fraction_product(fraction_product(b, form), upper_inverse(b)))
+
+
+def fraction_bracket_rows(form, scope):
+    """Lower parts of x·form - form·x, x elementary in the acting Lie algebra."""
+    n = len(form)
+    gens = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if scope is Scope.BOREL:
+        gens += [(a, a) for a in range(n)]
+    rows = []
+    for a, b in gens:
+        x = [[Fraction(int(i == a and j == b)) for j in range(n)] for i in range(n)]
+        left, right = fraction_product(x, form), fraction_product(form, x)
+        rows.append([left[i][j] - right[i][j] for i in range(n) for j in range(i)])
+    return rows
 
 
 @pytest.fixture

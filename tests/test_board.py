@@ -71,6 +71,25 @@ def test_validate_bad_board_size():
         placement(0, [])
 
 
+@pytest.mark.parametrize(
+    "n, cells",
+    [
+        (4, [(3.7, 1)]),
+        (4, [("3", 1)]),
+        (4, [(3, 1.0)]),
+        (4, [(3, True)]),
+        (4, ["31"]),
+        (4.0, []),
+        ("4", []),
+        (True, [(2, 1)]),
+    ],
+)
+def test_placement_rejects_non_integers(n, cells):
+    # no coercion: placement(4, [(3.7, 1)]) must not quietly become (3,1)
+    with pytest.raises(ValueError, match="integer"):
+        placement(n, cells)
+
+
 def test_input_order_is_canonicalized():
     a = placement(6, [(6, 4), (3, 1), (5, 2)])
     b = placement(6, [(3, 1), (5, 2), (6, 4)])

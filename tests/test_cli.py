@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rookposet import from_json
+from rookposet import cli, from_json
 from rookposet.cli import run
 
 
@@ -111,6 +111,20 @@ def test_verify_reports_match_golden(capsys):
         assert reports == golden[str(k)]
 
 
+@pytest.mark.parametrize(
+    "suite, n, samples", [("thm15", "8", "2"), ("thm24", "6", "1")]
+)
+def test_verify_reports_match_golden_at_benchmark_scope(suite, n, samples, capsys):
+    # the exact-engine suites at the board sizes of the benchmark, millis dropped
+    golden = json.loads((Path(__file__).parent / "data" / "verify_thm15_thm24_seed3.json").read_text())
+    argv = ["verify", "--suite", suite, "--n", n, "--samples", samples, "--seed", "3", "--json"]
+    assert run(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for report in reports:
+        del report["millis"]
+    assert reports == golden[suite]
+
+
 def test_enumerate_count_only(capsys):
     assert run(["enumerate", "--n", "4", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "15"
@@ -168,6 +182,25 @@ def test_malformed_placement_is_input_error(tmp_path, capsys, text):
     assert run(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_huge_board_is_input_error(tmp_path, capsys):
+    # rejected before any n^2 structure is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**8, "rooks": [[3, 1]]}))
+    assert run(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_analyze_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ANALYZE_LIMIT", 5)
+    for n, code in [(5, 0), (6, 2)]:
+        path = tmp_path / f"b{n}.json"
+        path.write_text(json.dumps({"n": n, "rooks": [[3, 1]]}))
+        assert run(["analyze", str(path), "--json"]) == code
+    assert capsys.readouterr().err == "error: analyze supports n <= 5, got 6\n"
 
 
 def test_unknown_flag_is_usage_error():

@@ -20,7 +20,6 @@ from rookposet import (
 )
 from rookposet.exactlin import (
     diagonal,
-    fraction_rank,
     identity,
     integer_rank,
     mat_mul,
@@ -31,7 +30,40 @@ from rookposet.exactlin import (
 )
 from rookposet.errors import NotInvertible, NotUpperTriangular, WrongBoardSize
 
-from conftest import upper_samples
+from conftest import (
+    corner_rank_profile,
+    fraction_bracket_rows,
+    fraction_coadjoint,
+    fraction_rank,
+    upper_samples,
+)
+
+
+def random_rational(rng, bound=3):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound + 1))
+
+
+def random_lower_form(rng, n):
+    """A strictly lower rational form with zero rows, zero columns and dependent rows."""
+    density = rng.random()
+    form = zeros(n)
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < density:
+                form[i][j] = random_rational(rng)
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randrange(n)
+        for j in range(k):
+            form[k][j] = Fraction(0)  # a zero row
+        for i in range(k + 1, n):
+            form[i][k] = Fraction(0)  # a zero column
+    for _ in range(rng.randint(0, 2)):
+        if n >= 3:
+            i, k = sorted(rng.sample(range(1, n), 2))
+            a, c = random_rational(rng), random_rational(rng)
+            for j in range(i):  # row i depends on rows k and n-1 below it
+                form[i][j] = a * form[k][j] + c * form[n - 1][j]
+    return form
 
 
 # --- forms -------------------------------------------------------------------
@@ -87,6 +119,30 @@ def test_coadjoint_is_group_action():
         assert coadjoint(mat_mul(b1, b2), form) == coadjoint(b1, coadjoint(b2, form))
 
 
+def test_coadjoint_matches_fraction_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        b = zeros(n)
+        for i in range(n):
+            b[i][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            for j in range(i + 1, n):
+                b[i][j] = random_rational(rng)
+        form = random_lower_form(rng, n)
+        lam = coadjoint(b, form)
+        assert lam == fraction_coadjoint(b, form)
+        assert all(type(x) is Fraction for row in lam for x in row)
+    for b in upper_samples(6, seed=43, count=100):
+        form = random_lower_form(rng, 6)
+        assert coadjoint(b, form) == fraction_coadjoint(b, form)
+
+
+def test_coadjoint_accepts_integer_and_negative_diagonal_matrices():
+    b = [[-2, 1, 0], [0, 3, -1], [0, 0, -1]]
+    form = placement_form(placement(3, [(3, 1)]), {(3, 1): Fraction(-3, 4)})
+    assert coadjoint(b, form) == fraction_coadjoint([[Fraction(x) for x in r] for r in b], form)
+
+
 def test_coadjoint_rejects_bad_matrices():
     form = placement_form(placement(3, [(3, 1)]))
     lower = identity(3)
@@ -126,6 +182,31 @@ def test_rank_profile_orbit_invariance_sampled():
             assert rank_profile(coadjoint(b, placement_form(D, xi))) == expected
 
 
+def test_rank_profile_matches_corner_oracle_on_orbit_samples():
+    rng = random.Random(17)
+    everything = enumerate_placements(8)
+    for b in upper_samples(8, seed=19, count=1000):
+        D = rng.choice(everything)
+        lam = coadjoint(b, placement_form(D, random_scalars(D, rng)))
+        profile = rank_profile(lam)
+        assert profile == corner_rank_profile(lam)
+        assert profile == [list(row) for row in rank_matrix(D).entries]
+
+
+def test_rank_profile_matches_corner_oracle_on_random_forms():
+    rng = random.Random(23)
+    full = deficient = 0
+    for k in range(2000):
+        n = 1 + k % 9
+        form = random_lower_form(rng, n)
+        profile = rank_profile(form)
+        assert profile == corner_rank_profile(form)
+        if n > 1:  # the largest corner, rows 2..n by columns 1..n-1
+            full += profile[1][n - 2] == n - 1
+            deficient += profile[1][n - 2] < n - 1
+    assert full > 20 and deficient > 1000
+
+
 # --- orbit dimensions ----------------------------------------------------------
 
 
@@ -138,6 +219,21 @@ def test_tangent_dimension_chain6(chain6):
 def test_tangent_dimension_zero_form():
     assert tangent_dimension(zeros(4), Scope.UNIPOTENT) == 0
     assert tangent_dimension(zeros(4), Scope.BOREL) == 0
+
+
+def test_tangent_dimension_matches_fraction_rank():
+    rng = random.Random(29)
+    for n in range(1, 6):
+        for D in enumerate_placements(n):
+            form = placement_form(D, random_scalars(D, rng))
+            for scope in Scope:
+                assert tangent_dimension(form, scope) == fraction_rank(
+                    fraction_bracket_rows(form, scope)
+                )
+    for _ in range(100):
+        form = random_lower_form(rng, rng.randint(1, 6))
+        for scope in Scope:
+            assert tangent_dimension(form, scope) == fraction_rank(fraction_bracket_rows(form, scope))
 
 
 # --- skew pairing --------------------------------------------------------------
@@ -167,6 +263,21 @@ def test_kirillov_rank_equals_unipotent_dimension():
                 xi = random_scalars(D, rng)
                 form = placement_form(D, xi)
                 assert kirillov_form(form).rank() == tangent_dimension(form, Scope.UNIPOTENT)
+
+
+def test_kirillov_rank_matches_fraction_rank():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for D in enumerate_placements(n):
+            xi = random_scalars(D, rng)
+            sf = kirillov_form(placement_form(D, xi))
+            expected = fraction_rank(sf.entries)
+            assert sf.rank() == expected
+            maximality = next(c for c in check_polarization(D, xi).clauses if c.name == "maximality")
+            assert maximality.witness == expected
+    for _ in range(100):
+        sf = kirillov_form(random_lower_form(rng, rng.randint(1, 6)))
+        assert sf.rank() == fraction_rank(sf.entries)
 
 
 def test_skew_symmetry():
