@@ -227,13 +227,21 @@ ScalarAssignment = Mapping[Cell, Fraction]
 def normalize_scalars(
     D: RookPlacement, scalars: Mapping[Sequence[int], object] | None
 ) -> dict[Cell, Fraction]:
-    """Coerce to {Cell: Fraction}, defaulting to all ones; values must be nonzero."""
+    """Coerce to {Cell: Fraction}, defaulting to all ones; values must be nonzero.
+
+    Keys must be (row, col) tuples of ``int`` and values ``int`` or
+    ``Fraction`` (not bool or float, whose binary value is rarely the one
+    meant); anything else raises ValueError.
+    """
     if scalars is None:
         return {c: Fraction(1) for c in D.rooks}
     out: dict[Cell, Fraction] = {}
     for key, value in scalars.items():
-        cell = Cell(*key)
-        out[cell] = Fraction(value)
+        if not (isinstance(key, tuple) and len(key) == 2 and all(type(x) is int for x in key)):
+            raise ValueError(f"scalar keys must be (row, col) pairs of integers, got {key!r}")
+        if type(value) is not int and not isinstance(value, Fraction):
+            raise ValueError(f"scalar values must be integers or Fractions, got {value!r}")
+        out[Cell(*key)] = Fraction(value)
     if set(out) != set(D.rooks):
         raise ValueError("scalar assignment domain must equal the rook set")
     bad = [c for c, v in out.items() if v == 0]

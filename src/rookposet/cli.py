@@ -22,7 +22,9 @@ from .poset import cover_moves, enumerate_placements, hasse_dot, poset_index
 from .suites import DEFAULT_SAMPLES, SUITES, run_suite
 
 
-#: largest board ``analyze`` accepts; its rank matrix is dense, n^2 entries
+#: largest board ``analyze`` and ``covers`` accept: the rank matrix is dense,
+#: n^2 entries, and the cover scans walk the indices between each rook's
+#: column and row
 ANALYZE_LIMIT = 1000
 
 
@@ -86,6 +88,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_covers(args) -> int:
     D = _load_placement(args.placement)
+    if D.n > ANALYZE_LIMIT:
+        raise LimitExceeded(f"covers supports n <= {ANALYZE_LIMIT}, got {D.n}")
     moves = cover_moves(D)
     mismatch = None
     if args.brute_force:

@@ -178,12 +178,13 @@ def _cor18(n: int) -> tuple[int, list[dict]]:
     failures: list[dict] = []
     if n >= 2:
         sigma_le = bruhat_relation([kerov_involution(D) for D in idx.placements])
-        for a, b in zip(*np.nonzero(sigma_le != idx.le)):
+        le = idx.le
+        for a, b in zip(*np.nonzero(sigma_le != le)):
             failures.append(
                 {
                     "first": to_json(idx.placements[int(a)]),
                     "second": to_json(idx.placements[int(b)]),
-                    "placement_leq": bool(idx.le[a, b]),
+                    "placement_leq": bool(le[a, b]),
                     "involution_leq": bool(sigma_le[a, b]),
                 }
             )

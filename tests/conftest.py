@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rookposet import Scope, placement
@@ -100,6 +101,31 @@ def fraction_bracket_rows(form, scope):
         left, right = fraction_product(x, form), fraction_product(form, x)
         rows.append([left[i][j] - right[i][j] for i in range(n) for j in range(i)])
     return rows
+
+
+# --- dense oracles for the bit-packed poset index -------------------------------
+
+
+def broadcast_pairwise_leq(rows):
+    """le[a, b] = all(rows[a] <= rows[b]) by a chunked (count, count, width) broadcast."""
+    count, width = rows.shape
+    le = np.empty((count, count), dtype=bool)
+    step = max(1, min(count, 16_000_000 // max(1, count * width)))
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        le[lo:hi] = (rows[lo:hi, None, :] <= rows[None, :, :]).all(axis=2)
+    return le
+
+
+def matmul_covers(le):
+    """covers[t, d]: t < d with no s between, by counting two-step paths in float32.
+
+    Exact while every count stays below 2**24, which holds far beyond n = 8.
+    """
+    lt = le.copy()
+    np.fill_diagonal(lt, False)
+    f = lt.astype(np.float32)
+    return lt & (f @ f == 0)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from rookposet import (
     leq,
     permutation_of,
     placement,
+    placement_form,
     placement_from_rank_matrix,
     rank_matrix,
     to_json,
@@ -376,6 +377,36 @@ def test_diagonal_normalizer_rejects_zero():
 def test_diagonal_normalizer_rejects_wrong_domain():
     with pytest.raises(ValueError):
         diagonal_normalizer(placement(3, [(3, 1)]), {(2, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "scalars",
+    [
+        {(3.0, 1): 1},
+        {(3, True): 1},
+        {(3, 1, 0): 1},
+        {(3,): 1},
+        {"31": 1},
+        {31: 1},
+        {(3, 1): 0.1},
+        {(3, 1): 2.0},
+        {(3, 1): True},
+        {(3, 1): "1/2"},
+        {(3, 1): None},
+    ],
+)
+def test_scalars_reject_non_integer_keys_and_inexact_values(scalars):
+    D = placement(3, [(3, 1)])
+    with pytest.raises(ValueError):
+        diagonal_normalizer(D, scalars)
+    with pytest.raises(ValueError):
+        placement_form(D, scalars)
+
+
+def test_scalars_accept_int_fraction_and_cell_keys():
+    D = placement(3, [(3, 1)])
+    for scalars in ({(3, 1): -2}, {Cell(3, 1): Fraction(-2)}):
+        assert diagonal_normalizer(D, scalars) == (1, 1, Fraction(-1, 2))
 
 
 # --- JSON -------------------------------------------------------------------

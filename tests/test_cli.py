@@ -63,6 +63,39 @@ def test_covers_json(tmp_path, capsys):
     assert kinds == {"split"}
 
 
+def test_covers_huge_board_is_input_error(tmp_path, capsys):
+    # rejected before the split scan walks the indices between column 1 and row n
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**5, "rooks": [[10**5, 1]]}))
+    assert run(["covers", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: covers supports n <= {cli.ANALYZE_LIMIT}, got 100000\n"
+
+
+def test_covers_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ANALYZE_LIMIT", 5)
+    for n, code in [(5, 0), (6, 2)]:
+        path = tmp_path / f"b{n}.json"
+        path.write_text(json.dumps({"n": n, "rooks": [[3, 1]]}))
+        assert run(["covers", str(path), "--json"]) == code
+    assert capsys.readouterr().err == "error: covers supports n <= 5, got 6\n"
+
+
+def test_hasse_and_brute_force_covers_match_golden(tmp_path, capsys):
+    # captured before the index moved to packed bitsets: same edges, same order
+    data = Path(__file__).parent / "data"
+    out_path = tmp_path / "h.dot"
+    assert run(["hasse", "--n", "5", "-o", str(out_path)]) == 0
+    assert out_path.read_bytes() == (data / "hasse5.dot").read_bytes()
+    capsys.readouterr()
+    for case in json.loads((data / "covers6_brute_force.json").read_text()):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 6, "rooks": case["rooks"]}))
+        assert run(["covers", str(path), "--brute-force", "--json"]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+
+
 def test_verify_pass(capsys):
     assert run(["verify", "--n", "3", "--suite", "thm33"]) == 0
     out = capsys.readouterr().out

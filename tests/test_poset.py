@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rookposet import (
@@ -20,7 +21,11 @@ from rookposet import (
     run_suite,
     verify_covers,
 )
+from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import LimitExceeded, NotIndexed, UndefinedMove
+from rookposet.poset import PosetIndex, _lower_cover_lists, _pairwise_leq
+
+from conftest import broadcast_pairwise_leq, matmul_covers
 
 
 # --- enumeration --------------------------------------------------------------
@@ -115,6 +120,15 @@ def test_cover_moves_spread_rook():
     assert all(m.kind is MoveKind.SPLIT for m in moves)
 
 
+def test_cover_moves_one_rook_at_the_cli_limit():
+    # each free index a in (1, n) splits (n, 1) into (a, 1) and (n, a); the
+    # split scan stops at the first index between a and b not doubly occupied
+    n = ANALYZE_LIMIT
+    moves = cover_moves(placement(n, [(n, 1)]))
+    assert all(m.kind is MoveKind.SPLIT for m in moves)
+    assert {m.result for m in moves} == {placement(n, [(a, 1), (n, a)]) for a in range(2, n)}
+
+
 def test_move_soundness_exhaustive():
     deltas = {
         MoveKind.REMOVE: -1,
@@ -179,14 +193,63 @@ def test_index_relation_agrees_with_leq():
     import random
 
     index = poset_index(4)
+    le = index.le  # built on each access
     for a in range(15):
         for b in range(15):
-            assert index.le[a, b] == leq(index.placements[a], index.placements[b])
+            assert le[a, b] == leq(index.placements[a], index.placements[b])
     index = poset_index(5)
+    le = index.le
     rng = random.Random(1)
     for _ in range(300):
         a, b = rng.randrange(52), rng.randrange(52)
-        assert index.le[a, b] == leq(index.placements[a], index.placements[b])
+        assert le[a, b] == leq(index.placements[a], index.placements[b])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_index_matches_dense_oracles(n):
+    index = poset_index(n)
+    le = broadcast_pairwise_leq(index.rank_rows)
+    covers = matmul_covers(le)
+    assert np.array_equal(index.le, le)
+    assert np.array_equal(index.covers, covers)
+    for d in range(len(index.placements)):
+        assert index.lower_cover_ids(d) == np.flatnonzero(covers[:, d]).tolist()
+
+
+def test_pairwise_leq_on_random_small_ints():
+    rng = np.random.default_rng(5)
+    shapes = [(0, 3), (1, 0), (5, 0), (1, 4), (7, 1), (8, 2), (9, 3), (13, 5), (31, 4), (70, 2)]
+    for count, width in shapes:
+        for low, high in [(0, 2), (-2, 3), (-30, 30)]:
+            rows = rng.integers(low, high, size=(count, width), dtype=np.int16)
+            got = _pairwise_leq(rows)
+            assert got.shape == (count, count) and got.dtype == bool
+            assert np.array_equal(got, broadcast_pairwise_leq(rows))
+
+
+def test_lower_cover_lists_on_random_distinct_rows():
+    # any distinct rows: a < b entrywise forces sum(a) < sum(b)
+    rng = np.random.default_rng(6)
+    cases = [(1, 0, 1), (6, 1, 4), (9, 3, 2), (40, 3, 3), (150, 4, 4), (300, 6, 3)]
+    for count, width, high in cases:
+        rows = np.unique(rng.integers(0, high, size=(count, width)), axis=0)
+        rows = rows[rng.permutation(len(rows))]
+        covers = matmul_covers(broadcast_pairwise_leq(rows))
+        expected = [np.flatnonzero(covers[:, d]).tolist() for d in range(len(rows))]
+        assert _lower_cover_lists(rows) == expected
+
+
+def test_repeated_rows_fail_the_linear_extension_check():
+    index = poset_index(4)
+    rows = index.rank_rows
+    tampered = rows.copy()
+    tampered[7] = tampered[3]  # two placements with one rank matrix
+    permuted = np.vstack([rows, rows[np.random.default_rng(7).permutation(len(rows))]])
+    for bad in (tampered, permuted):
+        with pytest.raises(ValueError, match="linear extension"):
+            _lower_cover_lists(bad)
+    with pytest.raises(ValueError, match="linear extension"):
+        PosetIndex(4, index.placements, tampered)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
