@@ -18,22 +18,22 @@ from typing import Sequence
 import numpy as np
 
 from . import permutations as perms
-from .board import (
-    Cell,
-    RookPlacement,
-    cell_leq,
-    cell_lt,
-    placement,
-    rank_matrix,
-    to_json,
+from .board import Cell, RookPlacement, placement, rank_matrix, to_json
+from .errors import (
+    AttackingRooks,
+    LimitExceeded,
+    NotIndexed,
+    OutOfBoard,
+    RookError,
+    UndefinedMove,
 )
-from .errors import LimitExceeded, NotIndexed, UndefinedMove
 
 #: hard ceiling for plain enumeration (21147 placements at n=9 is still cheap)
 ENUM_LIMIT = 9
 #: ceiling for the all-pairs index: its packed down-sets hold count^2 / 8
-#: bytes, 2.1 MB for the 4140 placements at n=8 and 56 MB for 21147 at n=9
-INDEX_LIMIT = 8
+#: bytes, 2.1 MB for the 4140 placements at n=8 and 56 MB for the 21147 at
+#: n=9, whose order has 126 487 cover edges
+INDEX_LIMIT = 9
 
 
 class MoveKind(Enum):
@@ -108,6 +108,49 @@ def bell_number(n: int) -> int:
 # The move calculus
 
 
+def _occupancy(rooks: Sequence[Cell]) -> tuple[int, int]:
+    """Occupied rows and columns as bit masks: bit k is set iff index k is used."""
+    rows = cols = 0
+    for i, j in rooks:
+        rows |= 1 << i
+        cols |= 1 << j
+    return rows, cols
+
+
+def _next_gap(mask: int, k: int) -> int:
+    """The smallest index above k whose bit in ``mask`` is clear."""
+    clear = ~mask >> (k + 1)
+    return k + (clear & -clear).bit_length()
+
+
+def _prev_gap(mask: int, k: int) -> int:
+    """The largest index below k whose bit in ``mask`` is clear (indices start at 1, so >= 0)."""
+    return (~mask & ((1 << k) - 1)).bit_length() - 1
+
+
+def _dominated(rooks: Sequence[Cell]) -> list[list[Cell]]:
+    """Per rook (i, j), the other rooks strictly South-West of it.
+
+    Rooks are column-sorted and never share a row or column, so these are the
+    later rooks with a smaller row.
+    """
+    return [[c for c in rooks[p + 1 :] if c.row < i] for p, (i, j) in enumerate(rooks)]
+
+
+def _removable(both: int, cell: Cell) -> bool:
+    """Whether every index strictly between the column and row of ``cell`` is doubly occupied."""
+    return _next_gap(both, cell.col) >= cell.row
+
+
+def _slide_targets(rows: int, cols: int, i: int, j: int) -> tuple[int | None, int | None]:
+    """Where rook (i, j) slides: the first free column and the last free row between j and i.
+
+    Either is None when no such index lies strictly between j and i.
+    """
+    right, up = _next_gap(cols, j), _prev_gap(rows, i)
+    return (right if right < i else None), (up if up > j else None)
+
+
 def removable_rooks(D: RookPlacement) -> tuple[frozenset[Cell], frozenset[Cell]]:
     """Minimal rooks, and the subset whose removal is an immediate step down.
 
@@ -115,31 +158,33 @@ def removable_rooks(D: RookPlacement) -> tuple[frozenset[Cell], frozenset[Cell]]
     j and i has both its row and its column occupied; a free row k yields the
     strictly intermediate placement D - (i,j) + (k,j), a free column likewise.
     """
-    rooks = D.rooks
-    minimal = frozenset(
-        c for c in rooks if not any(o != c and cell_leq(o, c) for o in rooks)
-    )
-    rows, cols = D.rows, D.cols
-    removable = frozenset(
-        c
-        for c in minimal
-        if all(k in rows and k in cols for k in range(c.col + 1, c.row))
-    )
-    return minimal, removable
+    rows, cols = _occupancy(D.rooks)
+    minimal = frozenset(c for c, below in zip(D.rooks, _dominated(D.rooks)) if not below)
+    return minimal, frozenset(c for c in minimal if _removable(rows & cols, c))
 
 
-def _dominated(D: RookPlacement, pivot: Cell) -> list[Cell]:
-    return [c for c in D.rooks if c != pivot and cell_leq(c, pivot)]
+def _moved(D: RookPlacement, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> RookPlacement:
+    """D without ``removed`` and with ``added``, validating only the added cells.
 
-
-def _slide_right_target(D: RookPlacement, i: int, j: int) -> int | None:
-    cols = D.cols
-    return next((k for k in range(j + 1, i) if k not in cols), None)
-
-
-def _slide_up_target(D: RookPlacement, i: int, j: int) -> int | None:
-    rows = D.rows
-    return max((k for k in range(j + 1, i) if k not in rows), default=None)
+    The remaining rooks come from a valid placement, so only an added cell can
+    leave the board or attack; it raises what ``placement`` would raise for
+    the remaining rooks followed by the added ones.
+    """
+    rest = [c for c in D.rooks if c not in removed]
+    rows, cols = _occupancy(rest)
+    for cell in added:
+        i, j = cell
+        if not 1 <= j < i <= D.n:
+            raise OutOfBoard(cell, D.n)
+        if rows >> i & 1:
+            raise AttackingRooks(next(c for c in rest if c.row == i), cell, "row")
+        if cols >> j & 1:
+            raise AttackingRooks(next(c for c in rest if c.col == j), cell, "column")
+        rows |= 1 << i
+        cols |= 1 << j
+        rest.append(cell)
+    rest.sort(key=lambda c: c.col)
+    return RookPlacement(D.n, tuple(rest))
 
 
 def cover_moves(D: RookPlacement) -> list[CoverMove]:
@@ -157,73 +202,65 @@ def cover_moves(D: RookPlacement) -> list[CoverMove]:
       column a are occupied when a != b, and each rook dominated by (i,j)
       stays dominated by (a,j) or (i,b).
 
-    Distinct moves reaching the same placement are merged (first tag wins;
-    generation order is deterministic).
+    D must be a valid placement.  Its occupied rows, occupied columns and
+    doubly occupied indices are read once as bit masks, so every interval
+    guard is a mask test, and each rook's dominated rooks are listed once.
+    A result is built from the rooks that stay, which are valid already; only
+    the added cells are checked against the board and the remaining rows and
+    columns.  Distinct moves reaching the same placement are merged (first
+    tag wins; generation order is deterministic).
     """
+    rooks = D.rooks
+    rows, cols = _occupancy(rooks)
+    both = rows & cols
+    dominated = _dominated(rooks)
     found: dict[RookPlacement, CoverMove] = {}
 
-    def add(kind: MoveKind, removed: Sequence[Cell], added: Sequence[Cell]) -> None:
-        cells = [c for c in D.rooks if c not in removed] + list(added)
-        result = placement(D.n, cells)
+    def add(kind: MoveKind, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> None:
+        result = _moved(D, removed, added)
         if result not in found:
-            found[result] = CoverMove(kind, tuple(removed), tuple(added), result)
+            found[result] = CoverMove(kind, removed, added, result)
 
-    rows, cols = D.rows, D.cols
+    minimal = [c for c, below in zip(rooks, dominated) if not below]
+    for cell in sorted(c for c in minimal if _removable(both, c)):
+        add(MoveKind.REMOVE, (cell,), ())
 
-    _, removable = removable_rooks(D)
-    for cell in sorted(removable):
-        add(MoveKind.REMOVE, [cell], [])
-
-    for cell in D.rooks:
+    for cell, below in zip(rooks, dominated):
         i, j = cell
-        dominated = _dominated(D, cell)
+        right, up = _slide_targets(rows, cols, i, j)
+        # the rooks below (i, j) stay below the slid rook, and no row in
+        # (j, right], no column in [up, i), is free
+        if right is not None and _next_gap(rows, j) > right and all(c.col >= right for c in below):
+            add(MoveKind.SLIDE_RIGHT, (cell,), (Cell(i, right),))
+        if up is not None and _prev_gap(cols, i) < up and all(c.row <= up for c in below):
+            add(MoveKind.SLIDE_UP, (cell,), (Cell(up, j),))
 
-        m = _slide_right_target(D, i, j)
-        if (
-            m is not None
-            and all(cell_leq(c, Cell(i, m)) for c in dominated)
-            and all(k in rows for k in range(j + 1, m + 1))
-        ):
-            add(MoveKind.SLIDE_RIGHT, [cell], [Cell(i, m)])
-
-        m = _slide_up_target(D, i, j)
-        if (
-            m is not None
-            and all(cell_leq(c, Cell(m, j)) for c in dominated)
-            and all(k in cols for k in range(m, i))
-        ):
-            add(MoveKind.SLIDE_UP, [cell], [Cell(m, j)])
-
-    for cell in D.rooks:
-        for other in D.rooks:
-            if cell_lt(cell, other) and not any(
-                cell_lt(cell, mid) and cell_lt(mid, other)
-                for mid in D.rooks
-                if mid != cell and mid != other
-            ):
-                i, j = cell
-                a, b = other
-                add(MoveKind.EXCHANGE, [cell, other], [Cell(i, b), Cell(a, j)])
-
-    for cell in D.rooks:
+    for p, cell in enumerate(rooks):
+        # the partners are the rooks with a smaller column and a larger row
+        # than cell and no rook between; scanning down the columns, ceiling
+        # is the lowest such row seen so far
         i, j = cell
-        dominated = _dominated(D, cell)
+        partners = []
+        ceiling = D.n + 1
+        for other in reversed(rooks[:p]):
+            if i < other.row < ceiling:
+                partners.append(other)
+                ceiling = other.row
+        for other in reversed(partners):
+            a, b = other
+            add(MoveKind.EXCHANGE, (cell, other), (Cell(i, b), Cell(a, j)))
+
+    for cell, below in zip(rooks, dominated):
+        i, j = cell
         for a in range(j + 1, i):
-            if a in rows:
+            if rows >> a & 1:
                 continue
-            for b in range(a, i):
-                if b - 1 > a and not (b - 1 in rows and b - 1 in cols):
-                    break  # (a, b) holds an index not doubly occupied, as for every later b
-                if b in cols:
-                    continue
-                if a != b and not (b in rows and a in cols):
-                    continue
-                if not all(
-                    cell_leq(c, Cell(a, j)) or cell_leq(c, Cell(i, b))
-                    for c in dominated
-                ):
-                    continue
-                add(MoveKind.SPLIT, [cell], [Cell(i, b), Cell(a, j)])
+            # column b must be free with (a, b) doubly occupied: b = a when
+            # column a is free, else the first index above a that is not
+            # doubly occupied, which must then be an occupied row
+            b = _next_gap(both, a) if cols >> a & 1 else a
+            if b < i and (b == a or rows >> b & 1) and all(c.row <= a or c.col >= b for c in below):
+                add(MoveKind.SPLIT, (cell,), (Cell(i, b), Cell(a, j)))
 
     return list(found.values())
 
@@ -241,19 +278,18 @@ def raw_move(
         raise UndefinedMove(f"{rook} is not a rook of {D}")
     i, j = rook
     rest = [c for c in D.rooks if c != rook]
+    right, up = _slide_targets(*_occupancy(D.rooks), i, j)
     try:
         if kind is MoveKind.REMOVE:
             return placement(D.n, rest)
         if kind is MoveKind.SLIDE_RIGHT:
-            m = _slide_right_target(D, i, j)
-            if m is None:
+            if right is None:
                 raise UndefinedMove(f"no free column strictly between {j} and {i}")
-            return placement(D.n, rest + [Cell(i, m)])
+            return placement(D.n, rest + [Cell(i, right)])
         if kind is MoveKind.SLIDE_UP:
-            m = _slide_up_target(D, i, j)
-            if m is None:
+            if up is None:
                 raise UndefinedMove(f"no free row strictly between {j} and {i}")
-            return placement(D.n, rest + [Cell(m, j)])
+            return placement(D.n, rest + [Cell(up, j)])
         if kind is MoveKind.EXCHANGE:
             if aux is None:
                 raise UndefinedMove("exchange needs the second rook")
@@ -398,13 +434,19 @@ def bruhat_relation(ws: Sequence[perms.Perm]) -> np.ndarray:
 def verify_covers(n: int) -> tuple[int, list[dict]]:
     """Compare the move calculus with the brute-force covers, placement by placement.
 
-    Returns the number of placements checked and one witness per mismatch.
+    Returns the number of placements checked and one witness per mismatch.  A
+    move that raises (say, a result with attacking rooks) is a mismatch too,
+    whose witness carries the error.
     """
     idx = poset_index(n)
     failures: list[dict] = []
     for d, D in enumerate(idx.placements):
         expected = set(idx.lower_cover_ids(d))
-        got = {idx.index_of(move.result) for move in cover_moves(D)}
+        try:
+            got = {idx.index_of(move.result) for move in cover_moves(D)}
+        except RookError as exc:
+            failures.append({"placement": to_json(D), "error": str(exc)})
+            continue
         if got != expected:
             failures.append(
                 {

@@ -244,7 +244,7 @@ SUITES = {
     "thm15": Suite(_thm15, 8, True),
     "thm24": Suite(_thm24, 6, True),
     # a lambda, so that verify_covers is looked up per call and a rebinding is seen
-    "thm33": Suite(lambda n: verify_covers(n), 8, False),
+    "thm33": Suite(lambda n: verify_covers(n), 9, False),
     "cor18": Suite(_cor18, 6, False),
     "proctor": Suite(_proctor, 6, False),
     "d0max": Suite(_d0max, 8, False),

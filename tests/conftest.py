@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rookposet import Scope, placement
+from rookposet import Cell, CoverMove, MoveKind, Scope, cell_leq, cell_lt, placement
 from rookposet.exactlin import integer_rank, random_upper
 
 
@@ -126,6 +126,82 @@ def matmul_covers(le):
     np.fill_diagonal(lt, False)
     f = lt.astype(np.float32)
     return lt & (f @ f == 0)
+
+
+# --- guard-by-guard oracle for the mask-based move calculus -----------------------
+
+
+def reference_cover_moves(D):
+    """cover_moves written guard by guard over cell comparisons and row/column sets.
+
+    Every result goes through placement(), which re-validates all its cells.
+    """
+    rooks, rows, cols = D.rooks, D.rows, D.cols
+    found = {}
+
+    def add(kind, removed, added):
+        cells = [c for c in rooks if c not in removed] + list(added)
+        result = placement(D.n, cells)
+        if result not in found:
+            found[result] = CoverMove(kind, tuple(removed), tuple(added), result)
+
+    def dominated(pivot):
+        return [c for c in rooks if c != pivot and cell_leq(c, pivot)]
+
+    minimal = [c for c in rooks if not dominated(c)]
+    removable = [
+        c for c in minimal if all(k in rows and k in cols for k in range(c.col + 1, c.row))
+    ]
+    for cell in sorted(removable):
+        add(MoveKind.REMOVE, [cell], [])
+
+    for cell in rooks:
+        i, j = cell
+        below = dominated(cell)
+        m = next((k for k in range(j + 1, i) if k not in cols), None)
+        if (
+            m is not None
+            and all(cell_leq(c, Cell(i, m)) for c in below)
+            and all(k in rows for k in range(j + 1, m + 1))
+        ):
+            add(MoveKind.SLIDE_RIGHT, [cell], [Cell(i, m)])
+        m = max((k for k in range(j + 1, i) if k not in rows), default=None)
+        if (
+            m is not None
+            and all(cell_leq(c, Cell(m, j)) for c in below)
+            and all(k in cols for k in range(m, i))
+        ):
+            add(MoveKind.SLIDE_UP, [cell], [Cell(m, j)])
+
+    for cell in rooks:
+        for other in rooks:
+            if cell_lt(cell, other) and not any(
+                cell_lt(cell, mid) and cell_lt(mid, other)
+                for mid in rooks
+                if mid != cell and mid != other
+            ):
+                i, j = cell
+                a, b = other
+                add(MoveKind.EXCHANGE, [cell, other], [Cell(i, b), Cell(a, j)])
+
+    for cell in rooks:
+        i, j = cell
+        below = dominated(cell)
+        for a in range(j + 1, i):
+            if a in rows:
+                continue
+            for b in range(a, i):
+                if b in cols:
+                    continue
+                if not all(k in rows and k in cols for k in range(a + 1, b)):
+                    continue
+                if a != b and not (b in rows and a in cols):
+                    continue
+                if not all(cell_leq(c, Cell(a, j)) or cell_leq(c, Cell(i, b)) for c in below):
+                    continue
+                add(MoveKind.SPLIT, [cell], [Cell(i, b), Cell(a, j)])
+
+    return list(found.values())
 
 
 @pytest.fixture

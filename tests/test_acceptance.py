@@ -109,6 +109,14 @@ def test_criterion_4_cover_relation():
     _done(4, "cover relation incl. extended 8-board run", t0, budget=900)
 
 
+def test_criterion_4_cover_relation_at_n9():
+    t0 = time.perf_counter()
+    report = run_suite("thm33", 9)
+    assert report.passed, report.failures[:3]
+    assert report.checked == 21147
+    _done(4, "cover relation on the 9-board", t0, budget=300)
+
+
 def test_criterion_5_order_properties():
     t0 = time.perf_counter()
     for n in range(1, 6):

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from rookposet import cli, from_json
+from rookposet import Cell, cli, from_json, placement, poset
 from rookposet.cli import run
+from rookposet.errors import AttackingRooks
 
 
 @pytest.fixture
@@ -119,8 +120,30 @@ def test_verify_json_report(capsys):
 
 
 def test_verify_limit_is_usage_error(capsys):
-    assert run(["verify", "--n", "9", "--suite", "thm33"]) == 2
+    assert run(["verify", "--n", "10", "--suite", "thm33"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_broken_move_is_verification_failure(monkeypatch, capsys):
+    # a move that raises inside the thm33 sweep is a failed check (exit 1) with
+    # the error as its witness, not an input error (exit 2)
+    real = poset.cover_moves
+    broken_on = placement(3, [(3, 1)])
+
+    def cover_moves(D):
+        if D == broken_on:
+            raise AttackingRooks(Cell(3, 1), Cell(3, 2), "row")
+        return real(D)
+
+    monkeypatch.setattr(poset, "cover_moves", cover_moves)
+    assert run(["verify", "--n", "3", "--suite", "thm33", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [report] = json.loads(captured.out)
+    assert report["checked"] == 5
+    assert report["failures"] == [
+        {"placement": {"n": 3, "rooks": [[3, 1]]}, "error": "rooks (3,1) and (3,2) share a row"}
+    ]
 
 
 @pytest.mark.parametrize("suite, samples", [("thm15", "-3"), ("thm24", "0")])

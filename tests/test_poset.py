@@ -22,10 +22,10 @@ from rookposet import (
     verify_covers,
 )
 from rookposet.cli import ANALYZE_LIMIT
-from rookposet.errors import LimitExceeded, NotIndexed, UndefinedMove
-from rookposet.poset import PosetIndex, _lower_cover_lists, _pairwise_leq
+from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard, UndefinedMove
+from rookposet.poset import PosetIndex, _lower_cover_lists, _moved, _pairwise_leq
 
-from conftest import broadcast_pairwise_leq, matmul_covers
+from conftest import broadcast_pairwise_leq, matmul_covers, reference_cover_moves
 
 
 # --- enumeration --------------------------------------------------------------
@@ -54,7 +54,7 @@ def test_enumeration_limit(n):
 
 def test_index_limit():
     with pytest.raises(LimitExceeded):
-        poset_index(9)
+        poset_index(10)
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -127,6 +127,47 @@ def test_cover_moves_one_rook_at_the_cli_limit():
     moves = cover_moves(placement(n, [(n, 1)]))
     assert all(m.kind is MoveKind.SPLIT for m in moves)
     assert {m.result for m in moves} == {placement(n, [(a, 1), (n, a)]) for a in range(2, n)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cover_moves_match_reference(n):
+    # the same moves, tags, cells, results and order as the guard-by-guard oracle,
+    # and every result is a placement that validates in full; n = 8 is kept
+    # because some wrong split guards first differ there
+    for D in enumerate_placements(n):
+        moves = cover_moves(D)
+        assert moves == reference_cover_moves(D)
+        for move in moves:
+            assert placement(n, move.result.rooks) == move.result
+            assert all(type(c) is Cell for c in move.result.rooks)
+
+
+@pytest.mark.parametrize(
+    "removed, added",
+    [
+        ((), ((3, 3),)),
+        ((), ((7, 1),)),
+        ((), ((6, 5),)),
+        ((), ((4, 1),)),
+        ((Cell(6, 2),), ((6, 5), (5, 3))),
+        ((Cell(6, 2),), ((4, 2), (4, 3))),
+        ((Cell(6, 2),), ((4, 2), (6, 2))),
+        ((Cell(3, 1), Cell(6, 2)), ((6, 1), (3, 2))),
+    ],
+)
+def test_moved_raises_what_placement_raises(removed, added):
+    D = placement(6, [(3, 1), (6, 2), (5, 4)])
+    added = tuple(Cell(*c) for c in added)
+    cells = [c for c in D.rooks if c not in removed] + list(added)
+    try:
+        expected = placement(6, cells)
+    except (OutOfBoard, AttackingRooks) as exc:
+        with pytest.raises(type(exc)) as got:
+            _moved(D, removed, added)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
+    else:
+        assert _moved(D, removed, added) == expected
 
 
 def test_move_soundness_exhaustive():
