@@ -22,10 +22,8 @@ from .board import (
 )
 from .exactlin import (
     Scope,
-    SkewForm,
     check_polarization,
     coadjoint,
-    kirillov_form,
     placement_form,
     rank_profile,
     squared_corner,
@@ -39,6 +37,7 @@ from .polarization import (
     mp_sets,
     polarization_complement,
     subalgebra_witness,
+    support_certificate,
 )
 from .poset import (
     CoverMove,

@@ -156,11 +156,6 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix: scale to integers, then Bareiss."""
-    return integer_rank(_scaled(rows)[0])
-
-
 # ---------------------------------------------------------------------------
 # Forms and the coadjoint action
 
@@ -280,11 +275,7 @@ def tangent_dimension(form: Matrix, scope: Scope) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The skew form of the commutator pairing
-
-
-def lower_cells_colmajor(n: int) -> list[Cell]:
-    return [Cell(i, j) for j in range(1, n) for i in range(j + 1, n + 1)]
+# The commutator pairing
 
 
 def _pairing_entry(form: Matrix, x: Cell, y: Cell):
@@ -299,26 +290,8 @@ def _pairing_entry(form: Matrix, x: Cell, y: Cell):
     return v
 
 
-@dataclass(frozen=True)
-class SkewForm:
-    """Commutator pairing on root vectors, basis in column-major cell order."""
-
-    cells: tuple[Cell, ...]
-    entries: tuple[tuple[Fraction | int, ...], ...]
-
-    def rank(self) -> int:
-        return matrix_rank(self.entries)
-
-
 def _pairing_rows(form: Matrix, cells: Sequence[Cell]) -> list[list]:
     return [[_pairing_entry(form, x, y) for y in cells] for x in cells]
-
-
-def kirillov_form(form: Matrix) -> SkewForm:
-    n = _check_form(form)
-    cells = lower_cells_colmajor(n)
-    entries = tuple(tuple(row) for row in _pairing_rows(form, cells))
-    return SkewForm(tuple(cells), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -359,40 +332,44 @@ def _jsonable(obj):
 def check_polarization(D: RookPlacement, scalars=None) -> PolarizationReport:
     """Certify that the complement of M spans a polarization at the form.
 
-    Four clauses: the pairing vanishes on the spanned subspace (isotropy),
-    the codimension equals |M|, the full pairing has rank exactly 2|M|
-    (which makes the isotropic subspace maximal), and the complement is
-    closed under commutators.
+    The pairing is evaluated densely at the form with the given scalars; its
+    first nonzero value on two complement cells is the isotropy witness, and
+    its rank is taken by Bareiss.
     """
-    data = mp_sets(D)
     comp = sorted(polarization_complement(D))
     form = placement_form(D, scalars)
-
-    iso_witness = None
-    for a in range(len(comp)):
-        for b in range(a + 1, len(comp)):
-            v = _pairing_entry(form, comp[a], comp[b])
-            if v != 0:
-                iso_witness = (comp[a], comp[b], v)
-                break
-        if iso_witness:
-            break
-
-    n_cells = D.n * (D.n - 1) // 2
-    codim_ok = len(comp) == n_cells - len(data.m_cells) and not (
-        data.m_cells & frozenset(comp)
+    isotropy = next(
+        (
+            (x, y, v)
+            for a, x in enumerate(comp)
+            for y in comp[a + 1 :]
+            if (v := _pairing_entry(form, x, y)) != 0
+        ),
+        None,
     )
+    rank = integer_rank(_pairing_rows(_scaled(form)[0], all_lower_cells(D.n)))
+    return polarization_clauses(D, isotropy, rank)
 
-    rank = integer_rank(_pairing_rows(_scaled(form)[0], lower_cells_colmajor(D.n)))
-    max_ok = rank == 2 * len(data.m_cells)
 
+def polarization_clauses(D: RookPlacement, isotropy, rank: int) -> PolarizationReport:
+    """The four polarization clauses, given the pairing's isotropy witness and rank.
+
+    Isotropy: the pairing vanishes on the span of the complement of M (the
+    witness is None).  Codimension: the complement misses exactly the |M|
+    cells of M.  Maximality: the pairing has rank exactly 2|M|, which makes
+    the isotropic subspace maximal.  Subalgebra: the complement is closed
+    under commutators.
+    """
+    m_cells = mp_sets(D).m_cells
+    comp = polarization_complement(D)
+    n_cells = D.n * (D.n - 1) // 2
+    codim_ok = len(comp) == n_cells - len(m_cells) and not (m_cells & comp)
     triple = subalgebra_witness(D)
-
     return PolarizationReport(
         (
-            ClauseResult("isotropy", iso_witness is None, iso_witness),
+            ClauseResult("isotropy", isotropy is None, isotropy),
             ClauseResult("codimension", codim_ok, len(comp)),
-            ClauseResult("maximality", max_ok, rank),
+            ClauseResult("maximality", rank == 2 * len(m_cells), rank),
             ClauseResult("subalgebra", triple is None, triple),
         )
     )

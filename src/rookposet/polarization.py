@@ -4,10 +4,13 @@ Each rook, taken in ascending column order, marks cells to its right in its
 own row (the M cells) and pairs each mark with a cell above the rook in its
 own column (the P cells).  The count |M| controls both orbit dimensions:
 2|M| for the unipotent orbit and 2|M| + |D| for the Borel orbit, each bounded
-by the length of the permutation attached to the placement.
+by the length of the permutation attached to the placement.  The supports of
+the action at the placement form, read off the rooks, certify both dimensions
+and the polarization for every nonzero choice of rook scalars.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .board import Cell, RookPlacement, permutation_of
@@ -111,3 +114,139 @@ def dimensions(D: RookPlacement) -> OrbitDimensions:
         dim_omega=m2 + d,
         length=length,
     )
+
+
+# ---------------------------------------------------------------------------
+# Scalar-free certificate: the supports of the infinitesimal action
+
+Edge = tuple[Cell, Cell]  # (row, column) of one nonzero matrix entry
+
+
+@dataclass(frozen=True)
+class Support:
+    """Bipartite support of a matrix: rows against columns, one edge per nonzero."""
+
+    edges: tuple[Edge, ...]
+    cycle: tuple[Edge, ...] | None  # None when the support is a forest
+    matching: int  # size of a maximum matching; exact when the support is a forest
+
+
+@dataclass(frozen=True)
+class SupportCertificate:
+    """The three supports of a placement form and the pairing's isotropy witness."""
+
+    unipotent: Support
+    borel: Support
+    pairing: Support
+    isotropy: Edge | None  # a pairing edge joining two cells outside M
+
+    def supports(self) -> tuple[tuple[str, Support], ...]:
+        return (("unipotent", self.unipotent), ("borel", self.borel), ("pairing", self.pairing))
+
+
+def support_certificate(D: RookPlacement) -> SupportCertificate:
+    """Supports of the tangent and pairing matrices at the form of D, from the rooks.
+
+    Tangent matrices have a row per generator (a, b), a <= b (written as the
+    cell (a, b)), and a column per lower cell; the pairing has a row and a
+    column per lower cell.  For a rook (p, q) and each q < k < p:
+
+    - the unipotent tangent has (k,p)-(k,q) and (q,k)-(p,k);
+    - the Borel tangent has the same, plus (p,p)-(p,q) and (q,q)-(p,q);
+    - the pairing has (k,q)-(p,k) and (p,k)-(k,q).
+
+    Every entry of these matrices is one term, ± the scalar of the rook that
+    produced it: two rooks, or the two terms of one bracket, never reach the
+    same entry, since that would need a rook on the diagonal.  So nothing
+    cancels, and the support is the same for every choice of nonzero
+    scalars.  When a support is a forest, each square submatrix has at most
+    one perfect matching, so each minor is 0 or ± a product of scalars, and
+    the rank equals the maximum matching for every nonzero choice (Brualdi &
+    Ryser, Combinatorial Matrix Theory, 1991).  Isotropy is scalar-free too:
+    the pairing vanishes on the complement of M iff no pairing edge joins
+    two complement cells.
+    """
+    unipotent: list[Edge] = []
+    diagonal: list[Edge] = []
+    pairing: list[Edge] = []
+    for p, q in D.rooks:
+        rook = Cell(p, q)
+        diagonal += ((Cell(p, p), rook), (Cell(q, q), rook))
+        for k in range(q + 1, p):
+            unipotent += ((Cell(k, p), Cell(k, q)), (Cell(q, k), Cell(p, k)))
+            pairing += ((Cell(k, q), Cell(p, k)), (Cell(p, k), Cell(k, q)))
+    m = mp_sets(D).m_cells
+    isotropy = next(((x, y) for x, y in pairing if x not in m and y not in m), None)
+    return SupportCertificate(
+        forest_support(unipotent),
+        forest_support(unipotent + diagonal),
+        forest_support(pairing),
+        isotropy,
+    )
+
+
+def forest_support(edges) -> Support:
+    """Union-find acyclicity test and leaf-stripping maximum matching.
+
+    The first edge that joins two vertices already connected closes a cycle,
+    reported as that edge followed by the path back between its ends.  On a
+    forest, matching a leaf to its only neighbour is always optimal, so
+    stripping leaves gives a maximum matching.
+    """
+    edges = tuple(edges)
+    parent: dict = {}
+    adjacent: dict = {}
+
+    def find(v):
+        root = parent.setdefault(v, v)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    cycle = None
+    for row, col in edges:
+        u, v = (0, row), (1, col)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+        elif cycle is None:
+            cycle = ((row, col),) + _path_edges(adjacent, v, u)
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+
+    degree = {v: len(ws) for v, ws in adjacent.items()}
+    leaves = [v for v, d in degree.items() if d == 1]
+    matched: set = set()
+    while leaves:
+        v = leaves.pop()
+        if v in matched or degree[v] != 1:
+            continue
+        u = next(w for w in adjacent[v] if w not in matched)
+        matched.update((u, v))
+        for w in adjacent[u]:
+            if w not in matched:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    return Support(edges, cycle, len(matched) // 2)
+
+
+def _path_edges(adjacent: dict, start, goal) -> tuple[Edge, ...]:
+    """The (row, column) edges of the path from start to goal, by breadth-first search."""
+    came_from = {start: None}
+    queue = deque([start])
+    while goal not in came_from:
+        v = queue.popleft()
+        for w in adjacent[v]:
+            if w not in came_from:
+                came_from[w] = v
+                queue.append(w)
+    path = []
+    v = goal
+    while came_from[v] is not None:
+        prev = came_from[v]
+        path.append((v[1], prev[1]) if v[0] == 0 else (prev[1], v[1]))
+        v = prev
+    return tuple(reversed(path))

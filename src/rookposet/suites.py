@@ -27,15 +27,14 @@ from .board import (
 from .errors import BoundViolation, LimitExceeded
 from .exactlin import (
     Scope,
-    check_polarization,
     coadjoint,
     placement_form,
+    polarization_clauses,
     random_scalars,
     random_upper,
     rank_profile,
-    tangent_dimension,
 )
-from .polarization import dimensions
+from .polarization import dimensions, support_certificate
 from .poset import (
     bell_number,
     bruhat_relation,
@@ -118,23 +117,36 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
     return len(chosen) * samples, failures
 
 
-def _thm24(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
-    """Full polarization and dimension certification for every placement.
+def _thm24(n: int) -> tuple[int, list[dict]]:
+    """Polarization and orbit dimensions at every nonzero choice of rook scalars.
 
-    Per placement: the closed-form dimensions respect their bounds, the Borel
-    tangent dimension matches 2|M| + |D|, and for each sampled scalar choice
-    the polarization report passes and the unipotent tangent dimension is
-    2|M| (in particular scalar-independent).
+    Per placement: the closed-form dimensions respect their bounds, and the
+    three supports of the placement form's action are forests, so each
+    maximum matching is the rank for every nonzero scalar choice.  Those
+    ranks must be 2|M| + |D| (Borel tangent), 2|M| (unipotent tangent) and
+    2|M| (pairing, the maximality clause), and the other polarization clauses
+    must pass.
     """
     failures: list[dict] = []
     everything = enumerate_placements(n)
-    for k, D in enumerate(everything):
+    for D in everything:
         try:
             dims = dimensions(D)
         except BoundViolation as exc:
             failures.append({"placement": to_json(D), "bound_violation": str(exc)})
             continue
-        borel_dim = tangent_dimension(placement_form(D), Scope.BOREL)
+        cert = support_certificate(D)
+        for name, support in cert.supports():
+            if support.cycle is not None:
+                failures.append(
+                    {
+                        "placement": to_json(D),
+                        "check": "forest",
+                        "support": name,
+                        "cycle": [[list(row), list(col)] for row, col in support.cycle],
+                    }
+                )
+        borel_dim = cert.borel.matching
         if borel_dim != dims.dim_omega or borel_dim > dims.length:
             failures.append(
                 {
@@ -145,30 +157,18 @@ def _thm24(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
                     "length": dims.length,
                 }
             )
-        rng = _rng_for(seed, k)
-        for s in range(samples):
-            xi = random_scalars(D, rng, DEFAULT_BOUND)
-            report = check_polarization(D, xi)
-            if not report.passed:
-                failures.append(
-                    {
-                        "placement": to_json(D),
-                        "sample": s,
-                        "scalars": _scalar_witness(xi),
-                        "clauses": report.to_json(),
-                    }
-                )
-            uni_dim = tangent_dimension(placement_form(D, xi), Scope.UNIPOTENT)
-            if uni_dim != dims.dim_theta:
-                failures.append(
-                    {
-                        "placement": to_json(D),
-                        "sample": s,
-                        "check": "unipotent-dimension",
-                        "tangent": uni_dim,
-                        "expected": dims.dim_theta,
-                    }
-                )
+        report = polarization_clauses(D, cert.isotropy, cert.pairing.matching)
+        if not report.passed:
+            failures.append({"placement": to_json(D), "clauses": report.to_json()})
+        if cert.unipotent.matching != dims.dim_theta:
+            failures.append(
+                {
+                    "placement": to_json(D),
+                    "check": "unipotent-dimension",
+                    "tangent": cert.unipotent.matching,
+                    "expected": dims.dim_theta,
+                }
+            )
     return len(everything), failures
 
 
@@ -242,7 +242,7 @@ class Suite(NamedTuple):
 
 SUITES = {
     "thm15": Suite(_thm15, 8, True),
-    "thm24": Suite(_thm24, 6, True),
+    "thm24": Suite(_thm24, 9, False),
     # a lambda, so that verify_covers is looked up per call and a rebinding is seen
     "thm33": Suite(lambda n: verify_covers(n), 9, False),
     "cor18": Suite(_cor18, 6, False),

@@ -1,12 +1,13 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rookposet import Cell, CoverMove, MoveKind, Scope, cell_leq, cell_lt, placement
-from rookposet.exactlin import integer_rank, random_upper
+from rookposet.exactlin import _scaled, integer_rank, random_upper
 
 
 def upper_samples(n, seed, count, bound=3):
@@ -101,6 +102,44 @@ def fraction_bracket_rows(form, scope):
         left, right = fraction_product(x, form), fraction_product(form, x)
         rows.append([left[i][j] - right[i][j] for i in range(n) for j in range(i)])
     return rows
+
+
+def matrix_rank(rows):
+    """Exact rank of a rational matrix: scale to integers, then Bareiss."""
+    return integer_rank(_scaled(rows)[0])
+
+
+def lower_cells_colmajor(n):
+    return [Cell(i, j) for j in range(1, n) for i in range(j + 1, n + 1)]
+
+
+@dataclass(frozen=True)
+class SkewForm:
+    """Commutator pairing on root vectors, basis in column-major cell order."""
+
+    cells: tuple
+    entries: tuple
+
+    def rank(self):
+        return matrix_rank(self.entries)
+
+
+def kirillov_form(form):
+    """The pairing (x, y) -> form([e_x, e_y]) on the root vectors e_x = e_{j,i}, x = (i, j).
+
+    [e_{j,i}, e_{s,r}] = [i = s] e_{j,r} - [r = j] e_{s,i}, and the form's
+    value on e_{a,b} is its (b, a) entry.
+    """
+    cells = lower_cells_colmajor(len(form))
+
+    def value(a, b):
+        return form[b - 1][a - 1]
+
+    def pairing(x, y):
+        (i, j), (r, s) = x, y
+        return (value(j, r) if i == s else 0) - (value(s, i) if r == j else 0)
+
+    return SkewForm(tuple(cells), tuple(tuple(pairing(x, y) for y in cells) for x in cells))
 
 
 # --- dense oracles for the bit-packed poset index -------------------------------

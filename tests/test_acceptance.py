@@ -97,6 +97,15 @@ def test_criterion_3_polarization_certification():
     _done(3, "polarization and dimensions", t0, budget=300)
 
 
+def test_criterion_3_polarization_at_n8():
+    # every nonzero scalar choice at once, through the forest-support certificate
+    t0 = time.perf_counter()
+    report = run_suite("thm24", 8)
+    assert report.passed, report.failures[:3]
+    assert report.checked == 4140
+    _done(3, "polarization and dimensions on the 8-board", t0, budget=120)
+
+
 def test_criterion_4_cover_relation():
     t0 = time.perf_counter()
     for n in range(1, 8):

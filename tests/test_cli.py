@@ -1,11 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from rookposet import Cell, cli, from_json, placement, poset
+from rookposet import Cell, cli, from_json, placement, poset, suites
 from rookposet.cli import run
 from rookposet.errors import AttackingRooks
+from rookposet.polarization import forest_support
 
 
 @pytest.fixture
@@ -146,7 +148,39 @@ def test_broken_move_is_verification_failure(monkeypatch, capsys):
     ]
 
 
-@pytest.mark.parametrize("suite, samples", [("thm15", "-3"), ("thm24", "0")])
+def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
+    # a support that is not a forest proves nothing about the ranks: thm24
+    # fails (exit 1) with the cycle as its witness
+    real = suites.support_certificate
+    target = placement(4, [(2, 1), (3, 2)])
+    extra = (Cell(1, 1), Cell(3, 2))  # closes (1,1)-(2,1)-(2,2)-(3,2) in the Borel support
+
+    def support_certificate(D):
+        cert = real(D)
+        if D != target:
+            return cert
+        return dataclasses.replace(cert, borel=forest_support(cert.borel.edges + (extra,)))
+
+    monkeypatch.setattr(suites, "support_certificate", support_certificate)
+    assert run(["verify", "--suite", "thm24", "--n", "4", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [report] = json.loads(captured.out)
+    assert report["checked"] == 15
+    assert report["failures"] == [
+        {
+            "placement": {"n": 4, "rooks": [[2, 1], [3, 2]]},
+            "check": "forest",
+            "support": "borel",
+            "cycle": [[[1, 1], [3, 2]], [[2, 2], [3, 2]], [[2, 2], [2, 1]], [[1, 1], [2, 1]]],
+        }
+    ]
+    assert run(["verify", "--suite", "thm24", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL (1 failures)" in out and '"cycle"' in out
+
+
+@pytest.mark.parametrize("suite, samples", [("thm15", "-3"), ("thm15", "0")])
 def test_verify_without_samples_is_usage_error(suite, samples, capsys):
     # a sampled suite that checked nothing must not report PASS
     assert run(["verify", "--n", "3", "--suite", suite, "--samples", samples]) == 2

@@ -10,7 +10,6 @@ from rookposet import (
     diagonal_normalizer,
     empty_placement,
     enumerate_placements,
-    kirillov_form,
     placement,
     placement_form,
     rank_matrix,
@@ -23,7 +22,6 @@ from rookposet.exactlin import (
     identity,
     integer_rank,
     mat_mul,
-    matrix_rank,
     random_scalars,
     random_upper,
     zeros,
@@ -35,6 +33,8 @@ from conftest import (
     fraction_bracket_rows,
     fraction_coadjoint,
     fraction_rank,
+    kirillov_form,
+    matrix_rank,
     upper_samples,
 )
 

@@ -1,12 +1,27 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rookposet import (
     Cell,
+    MPData,
+    Scope,
+    check_polarization,
     dimensions,
     empty_placement,
     enumerate_placements,
     mp_sets,
+    placement,
+    placement_form,
     polarization_complement,
     subalgebra_witness,
+    support_certificate,
+    tangent_dimension,
 )
+from rookposet.exactlin import _bracket_row, _pairing_rows, _scaled, random_scalars
+from rookposet import polarization
+from rookposet.polarization import all_lower_cells, forest_support
 
 
 def cells(*pairs):
@@ -111,3 +126,97 @@ def test_mp_json_shape(chain6):
     assert blob["P"] == [[2, 1], [4, 2]]
     assert blob["per_rook"]["1"] == {"M": [[3, 2]], "P": [[2, 1]]}
     assert blob["per_rook"]["3"] == {"M": [], "P": []}
+
+
+# --- the scalar-free support certificate ------------------------------------------
+
+
+def dense_supports(form):
+    """Nonzero positions of the dense unipotent and Borel tangent matrices and the pairing."""
+    n = len(form)
+    int_form = _scaled(form)[0]
+    cells = all_lower_cells(n)
+
+    def nonzero(keys, rows):
+        return {(key, c) for key, row in zip(keys, rows) for c, v in zip(cells, row) if v}
+
+    gens = [Cell(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    diagonal = [Cell(a, a) for a in range(1, n + 1)]
+    unipotent = nonzero(gens, [_bracket_row(int_form, a, b, cells) for a, b in gens])
+    borel = unipotent | nonzero(diagonal, [_bracket_row(int_form, a, a, cells) for a, _ in diagonal])
+    return unipotent, borel, nonzero(cells, _pairing_rows(int_form, cells))
+
+
+def test_support_certificate_matches_dense_action():
+    # every placement with n <= 6 and 100 seeded ones at n = 7, at unit scalars
+    # and at three random draws: same supports, and matchings equal the Bareiss ranks
+    chosen = [D for n in range(1, 7) for D in enumerate_placements(n)]
+    chosen += random.Random(7).sample(enumerate_placements(7), 100)
+    rng = random.Random(24)
+    for D in chosen:
+        cert = support_certificate(D)
+        edges = [s.edges for _, s in cert.supports()]
+        assert all(len(set(e)) == len(e) for e in edges)
+        assert all(s.cycle is None for _, s in cert.supports())
+        for scalars in [None] + [random_scalars(D, rng) for _ in range(3)]:
+            form = placement_form(D, scalars)
+            assert tuple(set(e) for e in edges) == dense_supports(form)
+            assert cert.unipotent.matching == tangent_dimension(form, Scope.UNIPOTENT)
+            assert cert.borel.matching == tangent_dimension(form, Scope.BOREL)
+            clauses = {c.name: c for c in check_polarization(D, scalars).clauses}
+            assert cert.pairing.matching == clauses["maximality"].witness
+            assert (cert.isotropy is None) == clauses["isotropy"].ok
+
+
+def test_support_certificate_golden(golden8):
+    cert = support_certificate(golden8)
+    dims = dimensions(golden8)
+    assert (cert.borel.matching, cert.unipotent.matching, cert.pairing.matching) == (17, 12, 12)
+    assert dims.dim_omega == 17 and dims.dim_theta == 12
+    assert cert.isotropy is None
+    empty = support_certificate(empty_placement(3))
+    assert all(s.edges == () and s.matching == 0 for _, s in empty.supports())
+
+
+def test_forest_support_reports_a_cycle():
+    # the support of a 2x2 matrix with four nonzeros is a 4-cycle
+    r1, r2, c1, c2 = Cell(1, 2), Cell(2, 2), Cell(2, 1), Cell(3, 1)
+    support = forest_support([(r1, c1), (r1, c2), (r2, c1), (r2, c2)])
+    assert support.cycle == ((r2, c2), (r1, c2), (r1, c1), (r2, c1))
+    path = forest_support([(r1, c1), (r1, c2), (r2, c1)])
+    assert path.cycle is None and path.matching == 2
+
+
+def test_isotropy_reports_an_edge_between_complement_cells(monkeypatch, golden8):
+    # with M taken as empty, every pairing edge joins two complement cells
+    monkeypatch.setattr(polarization, "mp_sets", lambda D: MPData((), frozenset(), frozenset()))
+    cert = support_certificate(golden8)
+    assert cert.pairing.edges and cert.isotropy == cert.pairing.edges[0]
+
+
+@st.composite
+def placements(draw, min_n=10, max_n=40):
+    """A placement drawn by proposing cells and keeping the non-attacking ones."""
+    n = draw(st.integers(min_n, max_n))
+    cell = st.integers(1, n - 1).flatmap(lambda j: st.tuples(st.integers(j + 1, n), st.just(j)))
+    rooks, rows, cols = [], set(), set()
+    for i, j in draw(st.lists(cell, max_size=n)):
+        if i not in rows and j not in cols:
+            rooks.append((i, j))
+            rows.add(i)
+            cols.add(j)
+    return placement(n, rooks)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(placements())
+def test_support_certificate_beyond_enumeration(D):
+    cert = support_certificate(D)
+    dims = dimensions(D)  # raises BoundViolation on any breach
+    assert all(s.cycle is None for _, s in cert.supports())
+    assert cert.borel.matching == dims.dim_omega
+    assert cert.unipotent.matching == dims.dim_theta
+    assert cert.pairing.matching == dims.dim_theta
+    assert cert.isotropy is None
+    assert dims.dim_theta <= dims.length - dims.d_size
+    assert dims.dim_omega <= dims.length
