@@ -25,7 +25,13 @@ from typing import Sequence
 
 from .board import Cell, RookPlacement, normalize_scalars
 from .errors import NotInvertible, NotUpperTriangular, WrongBoardSize
-from .polarization import all_lower_cells, mp_sets, polarization_complement, subalgebra_witness
+from .polarization import (
+    _complement,
+    _subalgebra_witness,
+    all_lower_cells,
+    mp_sets,
+    polarization_complement,
+)
 
 Matrix = list[list[Fraction]]
 
@@ -361,10 +367,10 @@ def polarization_clauses(D: RookPlacement, isotropy, rank: int) -> PolarizationR
     under commutators.
     """
     m_cells = mp_sets(D).m_cells
-    comp = polarization_complement(D)
+    comp = _complement(D.n, m_cells)
     n_cells = D.n * (D.n - 1) // 2
     codim_ok = len(comp) == n_cells - len(m_cells) and not (m_cells & comp)
-    triple = subalgebra_witness(D)
+    triple = _subalgebra_witness(m_cells)
     return PolarizationReport(
         (
             ClauseResult("isotropy", isotropy is None, isotropy),

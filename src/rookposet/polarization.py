@@ -65,7 +65,11 @@ def all_lower_cells(n: int) -> list[Cell]:
 
 def polarization_complement(D: RookPlacement) -> frozenset[Cell]:
     """Cells indexing the polarization subalgebra: the lower triangle minus M."""
-    return frozenset(all_lower_cells(D.n)) - mp_sets(D).m_cells
+    return _complement(D.n, mp_sets(D).m_cells)
+
+
+def _complement(n: int, m_cells: frozenset[Cell]) -> frozenset[Cell]:
+    return frozenset(all_lower_cells(n)) - m_cells
 
 
 def subalgebra_witness(D: RookPlacement) -> tuple[int, int, int] | None:
@@ -74,12 +78,13 @@ def subalgebra_witness(D: RookPlacement) -> tuple[int, int, int] | None:
     No such triple exists; returning one would disprove that the complement
     spans a subalgebra.  None signals success.
     """
-    m = mp_sets(D).m_cells
-    n = D.n
-    for cell in sorted(m):
-        i, j = cell
+    return _subalgebra_witness(mp_sets(D).m_cells)
+
+
+def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None:
+    for i, j in sorted(m_cells):
         for k in range(j + 1, i):
-            if Cell(i, k) not in m and Cell(k, j) not in m:
+            if Cell(i, k) not in m_cells and Cell(k, j) not in m_cells:
                 return (i, k, j)
     return None
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from functools import lru_cache, reduce
+from operator import add, and_
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import permutations as perms
-from .board import Cell, RookPlacement, placement, rank_matrix, to_json
+from .board import Cell, RookPlacement, placement, to_json
 from .errors import (
     AttackingRooks,
     LimitExceeded,
@@ -28,11 +27,16 @@ from .errors import (
     UndefinedMove,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: hard ceiling for plain enumeration (21147 placements at n=9 is still cheap)
 ENUM_LIMIT = 9
-#: ceiling for the all-pairs index: its packed down-sets hold count^2 / 8
-#: bytes, 2.1 MB for the 4140 placements at n=8 and 56 MB for the 21147 at
-#: n=9, whose order has 126 487 cover edges
+#: ceiling for the all-pairs index: its down-sets are Python ints that hold
+#: about count^2 / 16 bytes (each lies within the positions below it in a
+#: linear extension), 1 MB for the 4140 placements at n=8 and 28 MB for the
+#: 21147 at n=9, whose order has 126 487 cover edges; numpy is loaded only
+#: for the dense views (``le``, ``covers``)
 INDEX_LIMIT = 9
 
 
@@ -163,28 +167,121 @@ def removable_rooks(D: RookPlacement) -> tuple[frozenset[Cell], frozenset[Cell]]
     return minimal, frozenset(c for c in minimal if _removable(rows & cols, c))
 
 
-def _moved(D: RookPlacement, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> RookPlacement:
-    """D without ``removed`` and with ``added``, validating only the added cells.
+def _key(D: RookPlacement) -> int:
+    """D packed into one int: each rook (i, j) puts j in bits [w*i, w*i + w), w = n.bit_length().
 
-    The remaining rooks come from a valid placement, so only an added cell can
-    leave the board or attack; it raises what ``placement`` would raise for
-    the remaining rooks followed by the added ones.
+    Rows are distinct and 0 < j < 2**w, so the key determines the rooks.
     """
-    rest = [c for c in D.rooks if c not in removed]
-    rows, cols = _occupancy(rest)
-    for cell in added:
+    w = D.n.bit_length()
+    return sum(j << w * i for i, j in D.rooks)
+
+
+def _moved_key(
+    D: RookPlacement,
+    rows: int,
+    cols: int,
+    key: int,
+    removed: tuple[Cell, ...],
+    added: tuple[Cell, ...],
+) -> int:
+    """The key of D without ``removed`` and with ``added``, validating only the added cells.
+
+    ``rows``, ``cols`` and ``key`` are D's occupancy masks and key.  The rooks
+    that stay come from a valid placement, so only an added cell can leave
+    the board or attack; it raises what ``placement`` would raise for the
+    remaining rooks followed by the added ones.
+    """
+    n = D.n
+    w = n.bit_length()
+    for i, j in removed:
+        rows ^= 1 << i
+        cols ^= 1 << j
+        key ^= j << w * i
+    for k, cell in enumerate(added):
         i, j = cell
-        if not 1 <= j < i <= D.n:
-            raise OutOfBoard(cell, D.n)
-        if rows >> i & 1:
-            raise AttackingRooks(next(c for c in rest if c.row == i), cell, "row")
-        if cols >> j & 1:
-            raise AttackingRooks(next(c for c in rest if c.col == j), cell, "column")
+        if not 1 <= j < i <= n:
+            raise OutOfBoard(cell, n)
+        if (rows >> i | cols >> j) & 1:
+            raise _attacked(D, removed, added[:k], cell)
         rows |= 1 << i
         cols |= 1 << j
-        rest.append(cell)
-    rest.sort(key=lambda c: c.col)
-    return RookPlacement(D.n, tuple(rest))
+        key |= j << w * i
+    return key
+
+
+def _attacked(
+    D: RookPlacement, removed: tuple[Cell, ...], earlier: tuple[Cell, ...], cell: Cell
+) -> AttackingRooks:
+    """What ``placement`` raises for ``cell`` after the rooks that stay and ``earlier`` added cells."""
+    before = [c for c in D.rooks if c not in removed] + list(earlier)
+    same_row = [c for c in before if c.row == cell.row]
+    if same_row:
+        return AttackingRooks(same_row[0], cell, "row")
+    return AttackingRooks(next(c for c in before if c.col == cell.col), cell, "column")
+
+
+Step = tuple[MoveKind, tuple[Cell, ...], tuple[Cell, ...], int]  # kind, removed, added, key
+
+
+def _steps(D: RookPlacement) -> Iterator[Step]:
+    """Every guarded move out of D (see ``cover_moves``): (kind, removed, added, result key).
+
+    D must be a valid placement.  Its occupied rows, occupied columns and
+    doubly occupied indices are read once as bit masks, so every interval
+    guard is a mask test, and each rook's dominated rooks are listed once.
+    Each step checks only its added cells, against the rows and columns of
+    the rooks that stay (``_moved_key``), and builds no placement.  Two steps
+    may reach the same placement; the order of the steps is deterministic.
+    """
+    rooks = D.rooks
+    rows, cols = _occupancy(rooks)
+    both = rows & cols
+    key = _key(D)
+    dominated = _dominated(rooks)
+
+    def step(kind: MoveKind, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> Step:
+        return kind, removed, added, _moved_key(D, rows, cols, key, removed, added)
+
+    minimal = [c for c, below in zip(rooks, dominated) if not below]
+    for cell in sorted(c for c in minimal if _removable(both, c)):
+        yield step(MoveKind.REMOVE, (cell,), ())
+
+    for cell, below in zip(rooks, dominated):
+        i, j = cell
+        right, up = _slide_targets(rows, cols, i, j)
+        # the rooks below (i, j) stay below the slid rook, and no row in
+        # (j, right], no column in [up, i), is free
+        if right is not None and _next_gap(rows, j) > right and all(c.col >= right for c in below):
+            yield step(MoveKind.SLIDE_RIGHT, (cell,), (Cell(i, right),))
+        if up is not None and _prev_gap(cols, i) < up and all(c.row <= up for c in below):
+            yield step(MoveKind.SLIDE_UP, (cell,), (Cell(up, j),))
+
+    for p, cell in enumerate(rooks):
+        # the partners are the rooks with a smaller column and a larger row
+        # than cell and no rook between; scanning down the columns, ceiling
+        # is the lowest such row seen so far
+        i, j = cell
+        partners = []
+        ceiling = D.n + 1
+        for other in reversed(rooks[:p]):
+            if i < other.row < ceiling:
+                partners.append(other)
+                ceiling = other.row
+        for other in reversed(partners):
+            a, b = other
+            yield step(MoveKind.EXCHANGE, (cell, other), (Cell(i, b), Cell(a, j)))
+
+    for cell, below in zip(rooks, dominated):
+        i, j = cell
+        for a in range(j + 1, i):
+            if rows >> a & 1:
+                continue
+            # column b must be free with (a, b) doubly occupied: b = a when
+            # column a is free, else the first index above a that is not
+            # doubly occupied, which must then be an occupied row
+            b = _next_gap(both, a) if cols >> a & 1 else a
+            if b < i and (b == a or rows >> b & 1) and all(c.row <= a or c.col >= b for c in below):
+                yield step(MoveKind.SPLIT, (cell,), (Cell(i, b), Cell(a, j)))
 
 
 def cover_moves(D: RookPlacement) -> list[CoverMove]:
@@ -202,66 +299,17 @@ def cover_moves(D: RookPlacement) -> list[CoverMove]:
       column a are occupied when a != b, and each rook dominated by (i,j)
       stays dominated by (a,j) or (i,b).
 
-    D must be a valid placement.  Its occupied rows, occupied columns and
-    doubly occupied indices are read once as bit masks, so every interval
-    guard is a mask test, and each rook's dominated rooks are listed once.
-    A result is built from the rooks that stay, which are valid already; only
-    the added cells are checked against the board and the remaining rows and
-    columns.  Distinct moves reaching the same placement are merged (first
-    tag wins; generation order is deterministic).
+    D must be a valid placement.  The moves are the steps of ``_steps``;
+    distinct moves reaching the same placement are merged (same key, first
+    tag wins; generation order is deterministic), and only the first builds
+    its result.
     """
-    rooks = D.rooks
-    rows, cols = _occupancy(rooks)
-    both = rows & cols
-    dominated = _dominated(rooks)
-    found: dict[RookPlacement, CoverMove] = {}
-
-    def add(kind: MoveKind, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> None:
-        result = _moved(D, removed, added)
-        if result not in found:
-            found[result] = CoverMove(kind, removed, added, result)
-
-    minimal = [c for c, below in zip(rooks, dominated) if not below]
-    for cell in sorted(c for c in minimal if _removable(both, c)):
-        add(MoveKind.REMOVE, (cell,), ())
-
-    for cell, below in zip(rooks, dominated):
-        i, j = cell
-        right, up = _slide_targets(rows, cols, i, j)
-        # the rooks below (i, j) stay below the slid rook, and no row in
-        # (j, right], no column in [up, i), is free
-        if right is not None and _next_gap(rows, j) > right and all(c.col >= right for c in below):
-            add(MoveKind.SLIDE_RIGHT, (cell,), (Cell(i, right),))
-        if up is not None and _prev_gap(cols, i) < up and all(c.row <= up for c in below):
-            add(MoveKind.SLIDE_UP, (cell,), (Cell(up, j),))
-
-    for p, cell in enumerate(rooks):
-        # the partners are the rooks with a smaller column and a larger row
-        # than cell and no rook between; scanning down the columns, ceiling
-        # is the lowest such row seen so far
-        i, j = cell
-        partners = []
-        ceiling = D.n + 1
-        for other in reversed(rooks[:p]):
-            if i < other.row < ceiling:
-                partners.append(other)
-                ceiling = other.row
-        for other in reversed(partners):
-            a, b = other
-            add(MoveKind.EXCHANGE, (cell, other), (Cell(i, b), Cell(a, j)))
-
-    for cell, below in zip(rooks, dominated):
-        i, j = cell
-        for a in range(j + 1, i):
-            if rows >> a & 1:
-                continue
-            # column b must be free with (a, b) doubly occupied: b = a when
-            # column a is free, else the first index above a that is not
-            # doubly occupied, which must then be an occupied row
-            b = _next_gap(both, a) if cols >> a & 1 else a
-            if b < i and (b == a or rows >> b & 1) and all(c.row <= a or c.col >= b for c in below):
-                add(MoveKind.SPLIT, (cell,), (Cell(i, b), Cell(a, j)))
-
+    found: dict[int, CoverMove] = {}
+    for kind, removed, added, key in _steps(D):
+        if key not in found:
+            rest = [c for c in D.rooks if c not in removed] + list(added)
+            rest.sort(key=lambda c: c.col)
+            found[key] = CoverMove(kind, removed, added, RookPlacement(D.n, tuple(rest)))
     return list(found.values())
 
 
@@ -321,38 +369,43 @@ class PosetIndex:
     """All placements of one board, their rank rows and their lower covers.
 
     ``rank_rows[k]`` is the flattened lower triangle of placement k's rank
-    matrix; D <= E iff D's row is entrywise at most E's.  The lower covers of
-    every placement are found once, when the index is built, from bit-packed
-    down-sets by the linear-extension reduction of ``_lower_cover_lists``
-    (at n=8 the 4140 packed down-sets take 2.1 MB).  The dense order and
-    cover relations, 17 MB each at n=8, are built on request and not kept.
+    matrix, a tuple of ints; D <= E iff D's row is entrywise at most E's.
+    The lower covers of every placement are found once, when the index is
+    built, from down-sets held as Python ints (bit a of Down(b) is set iff
+    a <= b) by the linear-extension reduction of ``_lower_cover_lists``; at
+    n=8 the 4140 down-sets take about 1 MB.  Placements are looked up by
+    their packed key (``_key``).  The dense order and cover relations, 17 MB
+    each at n=8, are numpy bool matrices built on request and not kept; only
+    they import numpy.
     """
 
-    def __init__(self, n: int, placements: list[RookPlacement], rank_rows: np.ndarray):
+    def __init__(self, n: int, placements: list[RookPlacement], rank_rows: Sequence[Sequence[int]]):
         self.n = n
         self.placements = placements
-        self._index = {D: k for k, D in enumerate(placements)}
+        self._ids = {_key(D): k for k, D in enumerate(placements)}
         self.rank_rows = rank_rows
         self._lower = _lower_cover_lists(rank_rows)
 
     @property
     def le(self) -> np.ndarray:
-        """le[a, b] is True iff placement a <= placement b (a fresh dense matrix)."""
+        """le[a, b] is True iff placement a <= placement b (a fresh dense numpy matrix)."""
         return _pairwise_leq(self.rank_rows)
 
     @property
     def covers(self) -> np.ndarray:
-        """covers[t, d] is True iff placement t is an immediate predecessor of d."""
+        """covers[t, d] is True iff placement t is an immediate predecessor of d (dense numpy)."""
+        import numpy as np
+
         out = np.zeros((len(self.placements),) * 2, dtype=bool)
         for d, ts in enumerate(self._lower):
             out[ts, d] = True
         return out
 
     def index_of(self, D: RookPlacement) -> int:
-        try:
-            return self._index[D]
-        except KeyError:
-            raise NotIndexed(f"{D} is not a placement of the {self.n}-board index") from None
+        k = self._ids.get(_key(D)) if D.n == self.n else None
+        if k is None or self.placements[k] != D:
+            raise NotIndexed(f"{D} is not a placement of the {self.n}-board index")
+        return k
 
     def lower_cover_ids(self, d: int) -> list[int]:
         """Ids of the immediate predecessors of placement d, ascending."""
@@ -362,52 +415,87 @@ class PosetIndex:
         return [self.placements[t] for t in self.lower_cover_ids(self.index_of(D))]
 
 
-def _down_sets(rows: np.ndarray) -> np.ndarray:
-    """Packed down-sets: bit a of row b (little-endian) is set iff rows[a] <= rows[b].
+def _rank_rows(n: int, placements: Sequence[RookPlacement]) -> list[tuple[int, ...]]:
+    """``rank_matrix(D).flatten_lower()`` for placements listed with every prefix first.
 
-    For each column c and each value v of that column, ``below`` packs the set
-    {a : rows[a, c] <= v}; Down(b) is the AND over the columns of the set for
-    v = rows[b, c].  The bits past ``count`` in the last byte stay zero.
+    A rank entry counts rooks, so D's row is the row of D without its last
+    rook plus that rook's 0/1 row: rook (i, j) counts at the lower cell
+    (a, b) iff i >= a and j <= b.
     """
+    cells = [(a, b) for a in range(2, n + 1) for b in range(1, a)]
+    delta = {
+        Cell(i, j): tuple(int(i >= a and j <= b) for a, b in cells)
+        for i in range(2, n + 1)
+        for j in range(1, i)
+    }
+    row_of = {(): (0,) * len(cells)}
+    for D in placements:
+        if D.rooks:
+            row_of[D.rooks] = tuple(map(add, row_of[D.rooks[:-1]], delta[D.rooks[-1]]))
+    return [row_of[D.rooks] for D in placements]
+
+
+def _down_sets(rows: Sequence[Sequence[int]], within: list[int]) -> list[int]:
+    """Down-sets as ints: bit a of entry b is set iff bit a of within[b] is and rows[a] <= rows[b].
+
+    Per column c and value v, the threshold mask {a : rows[a][c] <= v} is
+    read off the column in one pass: its values, coded by rank, are mapped to
+    the digits "1" (rank at most v's) and "0" by ``bytes.translate`` and
+    parsed as a binary number (row a is bit a).  Down(b) is within[b] ANDed
+    with the mask at b's value in every column.  An AND costs the size of its
+    smaller operand, so a tight ``within`` keeps them short, and taking one
+    row at a time keeps its partial result in cache.  A column holds at most
+    256 distinct values.
+    """
+    masks = []
+    for col in zip(*rows):
+        values = sorted(set(col))
+        code = bytes(map({v: r for r, v in enumerate(values)}.__getitem__, reversed(col)))
+        masks.append(
+            {v: int(code.translate(b"1" * (r + 1) + b"0" * (255 - r)), 2) for r, v in enumerate(values)}
+        )
+    return [reduce(and_, map(dict.__getitem__, masks, row), start) for row, start in zip(rows, within)]
+
+
+def _pairwise_leq(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """le[a, b] is True iff rows[a] <= rows[b] entrywise, as a dense numpy bool matrix."""
+    import numpy as np
+
     count = len(rows)
-    down = np.tile(np.packbits(np.ones(count, dtype=bool), bitorder="little"), (count, 1))
-    for col in rows.T:
-        values, inverse = np.unique(col, return_inverse=True)
-        below = np.packbits(col[None, :] <= values[:, None], axis=1, bitorder="little")
-        down &= below[inverse]
-    return down
-
-
-def _pairwise_leq(rank_rows: np.ndarray) -> np.ndarray:
-    """le[a, b] is True iff rank_rows[a] <= rank_rows[b] entrywise."""
-    count = len(rank_rows)
-    bits = np.unpackbits(_down_sets(rank_rows), axis=1, count=count, bitorder="little")
+    size = (count + 7) // 8
+    down = _down_sets(rows, [(1 << count) - 1] * count)
+    packed = np.frombuffer(b"".join(d.to_bytes(size, "little") for d in down), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(count, size), axis=1, count=count, bitorder="little")
     return np.ascontiguousarray(bits.T, dtype=bool)
 
 
-def _lower_cover_lists(rank_rows: np.ndarray) -> list[list[int]]:
+def _lower_cover_lists(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Ascending lower-cover ids of every row, by a linear-extension reduction.
 
-    Rows sorted by their sum form a linear extension: a < b means rows[a] <=
-    rows[b] with the rows distinct, so the sum grows strictly.  In sorted
-    positions Down(d) - {d} holds only positions below d.  Its highest
-    position t lies under no cover found so far, so t is maximal below d, a
-    cover; clearing Down(t) removes only non-covers.  Repeating until nothing
-    is left yields exactly the covers of d.
+    Rows sorted by their sum form a linear extension when no row repeats: a <
+    b means rows[a] <= rows[b] with the rows distinct, so the sum grows
+    strictly.  In sorted positions Down(d) - {d} then holds only positions
+    below d, so each down-set is built within them.  Its highest position t
+    lies under no cover found so far, so t is maximal below d, a cover;
+    clearing Down(t) removes only non-covers.  Repeating until nothing is
+    left yields exactly the covers of d.
     """
-    order = np.argsort(rank_rows.sum(axis=1), kind="stable")
-    down = [int.from_bytes(row.tobytes(), "little") for row in _down_sets(rank_rows[order])]
-    ids = order.tolist()
+    count = len(rows)
+    if len(set(map(tuple, rows))) != count:
+        raise ValueError("rank-row sums are not a linear extension: a rank row repeats")
+    sums = [sum(row) for row in rows]
+    ids = sorted(range(count), key=sums.__getitem__)
+    down = _down_sets([rows[k] for k in ids], [(2 << q) - 1 for q in range(count)])
     lower: list[list[int]] = [[] for _ in ids]
     for q, below in enumerate(down):
-        if below >> q != 1:  # d itself must be the highest position in Down(d)
-            raise ValueError("rank-row sums are not a linear extension: a rank row repeats")
+        if below >> q != 1:  # without its own bit the clearing below would never end
+            raise ValueError(f"row {ids[q]} is missing from its own down-set")
         rest = below ^ (1 << q)
         found = []
         while rest:
             t = rest.bit_length() - 1
             found.append(ids[t])
-            rest &= ~down[t]
+            rest ^= rest & down[t]
         lower[ids[q]] = sorted(found)
     return lower
 
@@ -417,36 +505,32 @@ def poset_index(n: int) -> PosetIndex:
     if not 1 <= n <= INDEX_LIMIT:
         raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
     all_placements = enumerate_placements(n)
-    rank_rows = np.array(
-        [rank_matrix(D).flatten_lower() for D in all_placements], dtype=np.int16
-    )
-    if rank_rows.ndim == 1:  # n == 1: no lower-triangle cells
-        rank_rows = rank_rows.reshape(len(all_placements), 0)
-    return PosetIndex(n, all_placements, rank_rows)
+    return PosetIndex(n, all_placements, _rank_rows(n, all_placements))
 
 
 def bruhat_relation(ws: Sequence[perms.Perm]) -> np.ndarray:
     """le[a, b] is True iff ws[a] <= ws[b] in the Bruhat order, by dominance tables."""
-    tables = np.array([perms.dominance_table(w) for w in ws], dtype=np.int16)
-    return _pairwise_leq(tables.reshape(len(ws), -1))
+    return _pairwise_leq([sum(perms.dominance_table(w), ()) for w in ws])
 
 
 def verify_covers(n: int) -> tuple[int, list[dict]]:
     """Compare the move calculus with the brute-force covers, placement by placement.
 
+    Each step's result is looked up by its key, so no result is built.
     Returns the number of placements checked and one witness per mismatch.  A
     move that raises (say, a result with attacking rooks) is a mismatch too,
     whose witness carries the error.
     """
     idx = poset_index(n)
+    ids = idx._ids
     failures: list[dict] = []
-    for d, D in enumerate(idx.placements):
-        expected = set(idx.lower_cover_ids(d))
+    for D, lower in zip(idx.placements, idx._lower):
         try:
-            got = {idx.index_of(move.result) for move in cover_moves(D)}
+            got = {ids[step[3]] for step in _steps(D)}
         except RookError as exc:
             failures.append({"placement": to_json(D), "error": str(exc)})
             continue
+        expected = set(lower)
         if got != expected:
             failures.append(
                 {

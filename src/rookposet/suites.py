@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .board import (
     kerov_involution,
     permutation_of,
@@ -174,6 +172,8 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
 
 def _cor18(n: int) -> tuple[int, list[dict]]:
     """Placement order == Bruhat order on the doubled involutions, all pairs."""
+    import numpy as np
+
     idx = poset_index(n)
     failures: list[dict] = []
     if n >= 2:
@@ -193,6 +193,8 @@ def _cor18(n: int) -> tuple[int, list[dict]]:
 
 def _proctor(n: int) -> tuple[int, list[dict]]:
     """Comparable attached permutations force comparable placements, all pairs."""
+    import numpy as np
+
     idx = poset_index(n)
     w_le = bruhat_relation([permutation_of(D) for D in idx.placements])
     failures = [

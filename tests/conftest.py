@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rookposet import Cell, CoverMove, MoveKind, Scope, cell_leq, cell_lt, placement
 from rookposet.exactlin import _scaled, integer_rank, random_upper
@@ -142,7 +143,21 @@ def kirillov_form(form):
     return SkewForm(tuple(cells), tuple(tuple(pairing(x, y) for y in cells) for x in cells))
 
 
-# --- dense oracles for the bit-packed poset index -------------------------------
+@st.composite
+def placements(draw, min_n=10, max_n=40):
+    """A placement drawn by proposing cells and keeping the non-attacking ones."""
+    n = draw(st.integers(min_n, max_n))
+    cell = st.integers(1, n - 1).flatmap(lambda j: st.tuples(st.integers(j + 1, n), st.just(j)))
+    rooks, rows, cols = [], set(), set()
+    for i, j in draw(st.lists(cell, max_size=n)):
+        if i not in rows and j not in cols:
+            rooks.append((i, j))
+            rows.add(i)
+            cols.add(j)
+    return placement(n, rooks)
+
+
+# --- dense oracles for the poset index -------------------------------
 
 
 def broadcast_pairwise_leq(rows):

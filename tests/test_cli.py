@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import rookposet
 from rookposet import Cell, cli, from_json, placement, poset, suites
 from rookposet.cli import run
 from rookposet.errors import AttackingRooks
@@ -129,15 +134,15 @@ def test_verify_limit_is_usage_error(capsys):
 def test_broken_move_is_verification_failure(monkeypatch, capsys):
     # a move that raises inside the thm33 sweep is a failed check (exit 1) with
     # the error as its witness, not an input error (exit 2)
-    real = poset.cover_moves
+    real = poset._steps
     broken_on = placement(3, [(3, 1)])
 
-    def cover_moves(D):
+    def steps(D):
         if D == broken_on:
             raise AttackingRooks(Cell(3, 1), Cell(3, 2), "row")
         return real(D)
 
-    monkeypatch.setattr(poset, "cover_moves", cover_moves)
+    monkeypatch.setattr(poset, "_steps", steps)
     assert run(["verify", "--n", "3", "--suite", "thm33", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -146,6 +151,51 @@ def test_broken_move_is_verification_failure(monkeypatch, capsys):
     assert report["failures"] == [
         {"placement": {"n": 3, "rooks": [[3, 1]]}, "error": "rooks (3,1) and (3,2) share a row"}
     ]
+
+
+def test_extra_move_is_verification_failure(monkeypatch, capsys):
+    # a valid step to a placement below D that is not a cover is an extra result
+    real = poset._steps
+    target = placement(3, [(3, 1)])
+    below = placement(3, [(2, 1)])  # under (2,1)(3,2), the one cover of (3,1)
+
+    def steps(D):
+        yield from real(D)
+        if D == target:
+            yield poset.MoveKind.SLIDE_UP, (Cell(3, 1),), (Cell(2, 1),), poset._key(below)
+
+    monkeypatch.setattr(poset, "_steps", steps)
+    assert run(["verify", "--n", "3", "--suite", "thm33", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [report] = json.loads(captured.out)
+    assert report["checked"] == 5
+    assert report["failures"] == [
+        {"placement": {"n": 3, "rooks": [[3, 1]]}, "missing": [], "extra": [{"n": 3, "rooks": [[2, 1]]}]}
+    ]
+
+
+def test_exhaustive_suites_leave_numpy_unloaded():
+    # numpy serves only the dense relations (cor18, proctor, PosetIndex.le
+    # and .covers); the CLI and the thm15/thm24/thm33 suites never load it
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from rookposet import cli, poset
+        with contextlib.redirect_stdout(io.StringIO()):
+            for suite in ("thm15", "thm24", "thm33"):
+                assert cli.run(["verify", "--suite", suite, "--n", "6", "--samples", "2"]) == 0, suite
+        assert "numpy" not in sys.modules
+        assert int(poset.poset_index(5).le.sum()) == 932
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["verify", "--suite", "cor18", "--n", "4"]) == 0
+        assert "numpy" in sys.modules
+        """
+    )
+    src = str(Path(rookposet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cyclic_support_is_verification_failure(monkeypatch, capsys):

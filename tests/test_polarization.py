@@ -1,7 +1,6 @@
 import random
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rookposet import (
     Cell,
@@ -22,6 +21,8 @@ from rookposet import (
 from rookposet.exactlin import _bracket_row, _pairing_rows, _scaled, random_scalars
 from rookposet import polarization
 from rookposet.polarization import all_lower_cells, forest_support
+
+from conftest import placements
 
 
 def cells(*pairs):
@@ -78,9 +79,12 @@ def test_complement_is_disjoint_from_marks(golden8):
     assert not comp & mp_sets(golden8).m_cells
 
 
-def test_subalgebra_witness_examples(golden8):
+def test_subalgebra_witness_examples(golden8, monkeypatch):
     assert subalgebra_witness(golden8) is None
     assert subalgebra_witness(empty_placement(4)) is None
+    # no placement has a witness, but the mark set {(3,1)} alone does
+    monkeypatch.setattr(polarization, "mp_sets", lambda D: MPData((), cells((3, 1)), frozenset()))
+    assert subalgebra_witness(empty_placement(4)) == (3, 2, 1)
 
 
 def test_subalgebra_witness_exhaustive():
@@ -192,20 +196,6 @@ def test_isotropy_reports_an_edge_between_complement_cells(monkeypatch, golden8)
     monkeypatch.setattr(polarization, "mp_sets", lambda D: MPData((), frozenset(), frozenset()))
     cert = support_certificate(golden8)
     assert cert.pairing.edges and cert.isotropy == cert.pairing.edges[0]
-
-
-@st.composite
-def placements(draw, min_n=10, max_n=40):
-    """A placement drawn by proposing cells and keeping the non-attacking ones."""
-    n = draw(st.integers(min_n, max_n))
-    cell = st.integers(1, n - 1).flatmap(lambda j: st.tuples(st.integers(j + 1, n), st.just(j)))
-    rooks, rows, cols = [], set(), set()
-    for i, j in draw(st.lists(cell, max_size=n)):
-        if i not in rows and j not in cols:
-            rooks.append((i, j))
-            rows.add(i)
-            cols.add(j)
-    return placement(n, rooks)
 
 
 @settings(max_examples=50, deadline=None, database=None)

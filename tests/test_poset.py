@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rookposet import (
     Cell,
@@ -16,6 +17,7 @@ from rookposet import (
     maximal_element,
     placement,
     poset_index,
+    rank_matrix,
     raw_move,
     removable_rooks,
     run_suite,
@@ -23,9 +25,24 @@ from rookposet import (
 )
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard, UndefinedMove
-from rookposet.poset import PosetIndex, _lower_cover_lists, _moved, _pairwise_leq
+from rookposet.poset import (
+    PosetIndex,
+    _key,
+    _lower_cover_lists,
+    _moved_key,
+    _occupancy,
+    _pairwise_leq,
+    _steps,
+)
 
-from conftest import broadcast_pairwise_leq, matmul_covers, reference_cover_moves
+from conftest import broadcast_pairwise_leq, matmul_covers, placements, reference_cover_moves
+
+
+def decoded(n, key):
+    """The rooks packed in a key, column-sorted: row i holds the w-bit field at w*i."""
+    w = n.bit_length()
+    fields = [(i, key >> w * i & (1 << w) - 1) for i in range(2, n + 1)]
+    return sorted(((i, j) for i, j in fields if j), key=lambda c: c[1])
 
 
 # --- enumeration --------------------------------------------------------------
@@ -55,6 +72,21 @@ def test_enumeration_limit(n):
 def test_index_limit():
     with pytest.raises(LimitExceeded):
         poset_index(10)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_keys_are_distinct_and_decode_to_the_rooks(n):
+    everything = enumerate_placements(n)
+    keys = [_key(D) for D in everything]
+    assert len(set(keys)) == len(keys)
+    for D, key in zip(everything, keys):
+        assert decoded(n, key) == list(D.rooks)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_incremental_rank_rows_match_rank_matrix(n):
+    index = poset_index(n)
+    assert index.rank_rows == [rank_matrix(D).flatten_lower() for D in index.placements]
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -159,15 +191,19 @@ def test_moved_raises_what_placement_raises(removed, added):
     D = placement(6, [(3, 1), (6, 2), (5, 4)])
     added = tuple(Cell(*c) for c in added)
     cells = [c for c in D.rooks if c not in removed] + list(added)
+
+    def moved():
+        return _moved_key(D, *_occupancy(D.rooks), _key(D), removed, added)
+
     try:
         expected = placement(6, cells)
     except (OutOfBoard, AttackingRooks) as exc:
         with pytest.raises(type(exc)) as got:
-            _moved(D, removed, added)
+            moved()
         assert str(got.value) == str(exc)
         assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
     else:
-        assert _moved(D, removed, added) == expected
+        assert moved() == _key(expected)
 
 
 def test_move_soundness_exhaustive():
@@ -184,6 +220,17 @@ def test_move_soundness_exhaustive():
                 assert move.result != D
                 assert leq(move.result, D)
                 assert len(move.result.rooks) - len(D.rooks) == deltas[move.kind]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(placements(max_n=30))
+def test_cover_moves_beyond_enumeration(D):
+    # each result lies strictly below D, and its key is the key of the first
+    # step that reached it
+    moves = cover_moves(D)
+    assert [_key(m.result) for m in moves] == list(dict.fromkeys(step[3] for step in _steps(D)))
+    for move in moves:
+        assert move.result != D and leq(move.result, D)
 
 
 # --- raw moves -------------------------------------------------------------------
@@ -249,7 +296,7 @@ def test_index_relation_agrees_with_leq():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_index_matches_dense_oracles(n):
     index = poset_index(n)
-    le = broadcast_pairwise_leq(index.rank_rows)
+    le = broadcast_pairwise_leq(np.array(index.rank_rows).reshape(len(index.placements), -1))
     covers = matmul_covers(le)
     assert np.array_equal(index.le, le)
     assert np.array_equal(index.covers, covers)
@@ -263,7 +310,7 @@ def test_pairwise_leq_on_random_small_ints():
     for count, width in shapes:
         for low, high in [(0, 2), (-2, 3), (-30, 30)]:
             rows = rng.integers(low, high, size=(count, width), dtype=np.int16)
-            got = _pairwise_leq(rows)
+            got = _pairwise_leq(rows.tolist())
             assert got.shape == (count, count) and got.dtype == bool
             assert np.array_equal(got, broadcast_pairwise_leq(rows))
 
@@ -277,20 +324,20 @@ def test_lower_cover_lists_on_random_distinct_rows():
         rows = rows[rng.permutation(len(rows))]
         covers = matmul_covers(broadcast_pairwise_leq(rows))
         expected = [np.flatnonzero(covers[:, d]).tolist() for d in range(len(rows))]
-        assert _lower_cover_lists(rows) == expected
+        assert _lower_cover_lists(rows.tolist()) == expected
 
 
 def test_repeated_rows_fail_the_linear_extension_check():
     index = poset_index(4)
-    rows = index.rank_rows
+    rows = np.array(index.rank_rows)
     tampered = rows.copy()
     tampered[7] = tampered[3]  # two placements with one rank matrix
     permuted = np.vstack([rows, rows[np.random.default_rng(7).permutation(len(rows))]])
     for bad in (tampered, permuted):
         with pytest.raises(ValueError, match="linear extension"):
-            _lower_cover_lists(bad)
+            _lower_cover_lists(bad.tolist())
     with pytest.raises(ValueError, match="linear extension"):
-        PosetIndex(4, index.placements, tampered)
+        PosetIndex(4, index.placements, tampered.tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
