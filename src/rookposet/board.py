@@ -135,8 +135,6 @@ def rank_matrix(D: RookPlacement) -> RankMatrix:
 
 def leq(D: RookPlacement, other: RookPlacement) -> bool:
     """Partial order: D <= other iff the rank matrices compare entrywise."""
-    if D.n != other.n:
-        raise SizeMismatch(f"board sizes differ: {D.n} vs {other.n}")
     return rank_matrix(D).dominated_by(rank_matrix(other))
 
 

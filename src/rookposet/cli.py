@@ -142,7 +142,7 @@ def cmd_verify(args) -> int:
 
 def cmd_hasse(args) -> int:
     index = poset_index(args.n)
-    text = hasse_dot(args.n, index)
+    text = hasse_dot(args.n)
     edges = text.count("->")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -30,7 +30,6 @@ from .polarization import (
     _subalgebra_witness,
     all_lower_cells,
     mp_sets,
-    polarization_complement,
 )
 
 Matrix = list[list[Fraction]]
@@ -52,10 +51,7 @@ def zeros(n: int) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    mat = zeros(n)
-    for i in range(n):
-        mat[i][i] = Fraction(1)
-    return mat
+    return diagonal([1] * n)
 
 
 def diagonal(values: Sequence[object]) -> Matrix:
@@ -342,7 +338,8 @@ def check_polarization(D: RookPlacement, scalars=None) -> PolarizationReport:
     first nonzero value on two complement cells is the isotropy witness, and
     its rank is taken by Bareiss.
     """
-    comp = sorted(polarization_complement(D))
+    m_cells = mp_sets(D).m_cells
+    comp = sorted(_complement(D.n, m_cells))
     form = placement_form(D, scalars)
     isotropy = next(
         (
@@ -354,11 +351,11 @@ def check_polarization(D: RookPlacement, scalars=None) -> PolarizationReport:
         None,
     )
     rank = integer_rank(_pairing_rows(_scaled(form)[0], all_lower_cells(D.n)))
-    return polarization_clauses(D, isotropy, rank)
+    return polarization_clauses(D.n, m_cells, isotropy, rank)
 
 
-def polarization_clauses(D: RookPlacement, isotropy, rank: int) -> PolarizationReport:
-    """The four polarization clauses, given the pairing's isotropy witness and rank.
+def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy, rank: int) -> PolarizationReport:
+    """The four polarization clauses for the mark cells M of an n-board placement.
 
     Isotropy: the pairing vanishes on the span of the complement of M (the
     witness is None).  Codimension: the complement misses exactly the |M|
@@ -366,9 +363,8 @@ def polarization_clauses(D: RookPlacement, isotropy, rank: int) -> PolarizationR
     the isotropic subspace maximal.  Subalgebra: the complement is closed
     under commutators.
     """
-    m_cells = mp_sets(D).m_cells
-    comp = _complement(D.n, m_cells)
-    n_cells = D.n * (D.n - 1) // 2
+    comp = _complement(n, m_cells)
+    n_cells = n * (n - 1) // 2
     codim_ok = len(comp) == n_cells - len(m_cells) and not (m_cells & comp)
     triple = _subalgebra_witness(m_cells)
     return PolarizationReport(

@@ -104,16 +104,19 @@ def dimensions(D: RookPlacement) -> OrbitDimensions:
     Raises BoundViolation if 2|M| > l(w) - |D| or 2|M| + |D| > l(w); either
     would contradict the proven inequality chain and must surface loudly.
     """
-    data = mp_sets(D)
+    return _dimensions(D, mp_sets(D).m_cells)
+
+
+def _dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
     length = inversions(permutation_of(D))
-    m2 = 2 * len(data.m_cells)
+    m2 = 2 * len(m_cells)
     d = len(D.rooks)
     if m2 > length - d or m2 + d > length:
         raise BoundViolation(
             f"dimension bound violated for {D}: 2|M|={m2}, |D|={d}, l(w)={length}"
         )
     return OrbitDimensions(
-        m_size=len(data.m_cells),
+        m_size=len(m_cells),
         d_size=d,
         dim_theta=m2,
         dim_omega=m2 + d,
@@ -171,6 +174,10 @@ def support_certificate(D: RookPlacement) -> SupportCertificate:
     the pairing vanishes on the complement of M iff no pairing edge joins
     two complement cells.
     """
+    return _support_certificate(D, mp_sets(D).m_cells)
+
+
+def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportCertificate:
     unipotent: list[Edge] = []
     diagonal: list[Edge] = []
     pairing: list[Edge] = []
@@ -180,8 +187,7 @@ def support_certificate(D: RookPlacement) -> SupportCertificate:
         for k in range(q + 1, p):
             unipotent += ((Cell(k, p), Cell(k, q)), (Cell(q, k), Cell(p, k)))
             pairing += ((Cell(k, q), Cell(p, k)), (Cell(p, k), Cell(k, q)))
-    m = mp_sets(D).m_cells
-    isotropy = next(((x, y) for x, y in pairing if x not in m and y not in m), None)
+    isotropy = next(((x, y) for x, y in pairing if x not in m_cells and y not in m_cells), None)
     return SupportCertificate(
         forest_support(unipotent),
         forest_support(unipotent + diagonal),

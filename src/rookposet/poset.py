@@ -16,7 +16,6 @@ from functools import lru_cache, reduce
 from operator import add, and_
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from . import permutations as perms
 from .board import Cell, RookPlacement, placement, to_json
 from .errors import (
     AttackingRooks,
@@ -35,8 +34,9 @@ ENUM_LIMIT = 9
 #: ceiling for the all-pairs index: its down-sets are Python ints that hold
 #: about count^2 / 16 bytes (each lies within the positions below it in a
 #: linear extension), 1 MB for the 4140 placements at n=8 and 28 MB for the
-#: 21147 at n=9, whose order has 126 487 cover edges; numpy is loaded only
-#: for the dense views (``le``, ``covers``)
+#: 21147 at n=9, whose order has 126 487 cover edges; the order suites
+#: (cor18, proctor) hold two lists of full down-sets, 56 MB each at n=9;
+#: numpy is loaded only for the dense views (``le``, ``covers``)
 INDEX_LIMIT = 9
 
 
@@ -422,12 +422,8 @@ def _rank_rows(n: int, placements: Sequence[RookPlacement]) -> list[tuple[int, .
     rook plus that rook's 0/1 row: rook (i, j) counts at the lower cell
     (a, b) iff i >= a and j <= b.
     """
-    cells = [(a, b) for a in range(2, n + 1) for b in range(1, a)]
-    delta = {
-        Cell(i, j): tuple(int(i >= a and j <= b) for a, b in cells)
-        for i in range(2, n + 1)
-        for j in range(1, i)
-    }
+    cells = [Cell(a, b) for a in range(2, n + 1) for b in range(1, a)]
+    delta = {rook: tuple(int(rook.row >= a and rook.col <= b) for a, b in cells) for rook in cells}
     row_of = {(): (0,) * len(cells)}
     for D in placements:
         if D.rooks:
@@ -508,11 +504,6 @@ def poset_index(n: int) -> PosetIndex:
     return PosetIndex(n, all_placements, _rank_rows(n, all_placements))
 
 
-def bruhat_relation(ws: Sequence[perms.Perm]) -> np.ndarray:
-    """le[a, b] is True iff ws[a] <= ws[b] in the Bruhat order, by dominance tables."""
-    return _pairwise_leq([sum(perms.dominance_table(w), ()) for w in ws])
-
-
 def verify_covers(n: int) -> tuple[int, list[dict]]:
     """Compare the move calculus with the brute-force covers, placement by placement.
 
@@ -557,9 +548,9 @@ def maximal_element(n: int) -> RookPlacement:
 # DOT export
 
 
-def hasse_dot(n: int, index: PosetIndex | None = None) -> str:
+def hasse_dot(n: int) -> str:
     """Graphviz digraph of the covering relation, one edge D -> cover."""
-    idx = index if index is not None else poset_index(n)
+    idx = poset_index(n)
 
     def label(D: RookPlacement) -> str:
         return "".join(f"({c.row},{c.col})" for c in D.rooks)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass, field
+from operator import xor
+from typing import Callable, Iterable, NamedTuple
 
 from .board import (
     kerov_involution,
@@ -32,10 +33,12 @@ from .exactlin import (
     random_upper,
     rank_profile,
 )
-from .polarization import dimensions, support_certificate
+from .permutations import dominance_table
+from .polarization import _dimensions, _support_certificate, mp_sets
 from .poset import (
+    INDEX_LIMIT,
+    _down_sets,
     bell_number,
-    bruhat_relation,
     enumerate_placements,
     maximal_element,
     poset_index,
@@ -60,14 +63,7 @@ class VerificationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "checked": self.checked,
-            "failures": self.failures,
-            "seed": self.seed,
-            "millis": self.millis,
-        }
+        return asdict(self)
 
 
 def _rng_for(seed: int, position: int) -> random.Random:
@@ -128,12 +124,13 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
     failures: list[dict] = []
     everything = enumerate_placements(n)
     for D in everything:
+        m_cells = mp_sets(D).m_cells
         try:
-            dims = dimensions(D)
+            dims = _dimensions(D, m_cells)
         except BoundViolation as exc:
             failures.append({"placement": to_json(D), "bound_violation": str(exc)})
             continue
-        cert = support_certificate(D)
+        cert = _support_certificate(D, m_cells)
         for name, support in cert.supports():
             if support.cycle is not None:
                 failures.append(
@@ -155,7 +152,7 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
                     "length": dims.length,
                 }
             )
-        report = polarization_clauses(D, cert.isotropy, cert.pairing.matching)
+        report = polarization_clauses(n, m_cells, cert.isotropy, cert.pairing.matching)
         if not report.passed:
             failures.append({"placement": to_json(D), "clauses": report.to_json()})
         if cert.unipotent.matching != dims.dim_theta:
@@ -172,20 +169,17 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
 
 def _cor18(n: int) -> tuple[int, list[dict]]:
     """Placement order == Bruhat order on the doubled involutions, all pairs."""
-    import numpy as np
-
     idx = poset_index(n)
     failures: list[dict] = []
     if n >= 2:
-        sigma_le = bruhat_relation([kerov_involution(D) for D in idx.placements])
-        le = idx.le
-        for a, b in zip(*np.nonzero(sigma_le != le)):
+        le, sigma_le = _down_set_pair(idx, kerov_involution)
+        for a, b in _pairs(map(xor, le, sigma_le)):
             failures.append(
                 {
-                    "first": to_json(idx.placements[int(a)]),
-                    "second": to_json(idx.placements[int(b)]),
-                    "placement_leq": bool(le[a, b]),
-                    "involution_leq": bool(sigma_le[a, b]),
+                    "first": to_json(idx.placements[a]),
+                    "second": to_json(idx.placements[b]),
+                    "placement_leq": bool(le[b] >> a & 1),
+                    "involution_leq": bool(sigma_le[b] >> a & 1),
                 }
             )
     return len(idx.placements) ** 2, failures
@@ -193,18 +187,30 @@ def _cor18(n: int) -> tuple[int, list[dict]]:
 
 def _proctor(n: int) -> tuple[int, list[dict]]:
     """Comparable attached permutations force comparable placements, all pairs."""
-    import numpy as np
-
     idx = poset_index(n)
-    w_le = bruhat_relation([permutation_of(D) for D in idx.placements])
+    le, w_le = _down_set_pair(idx, permutation_of)
     failures = [
-        {
-            "smaller": to_json(idx.placements[int(a)]),
-            "larger": to_json(idx.placements[int(b)]),
-        }
-        for a, b in zip(*np.nonzero(w_le & ~idx.le))
+        {"smaller": to_json(idx.placements[a]), "larger": to_json(idx.placements[b])}
+        for a, b in _pairs(w & ~d for w, d in zip(w_le, le))
     ]
     return len(idx.placements) ** 2, failures
+
+
+def _down_set_pair(idx, perm_of) -> tuple[list[int], list[int]]:
+    """Down-sets (bit a of entry b iff a <= b) of the placements and of ``perm_of`` in Bruhat order."""
+    full = [(1 << len(idx.placements)) - 1] * len(idx.placements)
+    tables = [sum(dominance_table(perm_of(D)), ()) for D in idx.placements]
+    return _down_sets(idx.rank_rows, full), _down_sets(tables, full)
+
+
+def _pairs(columns: Iterable[int]) -> list[tuple[int, int]]:
+    """(a, b) for every bit a set in columns[b], row-major; only set bits are visited."""
+    out = []
+    for b, x in enumerate(columns):
+        while x:
+            out.append(((x & -x).bit_length() - 1, b))
+            x &= x - 1
+    return sorted(out)
 
 
 def _d0max(n: int) -> tuple[int, list[dict]]:
@@ -246,9 +252,9 @@ SUITES = {
     "thm15": Suite(_thm15, 8, True),
     "thm24": Suite(_thm24, 9, False),
     # a lambda, so that verify_covers is looked up per call and a rebinding is seen
-    "thm33": Suite(lambda n: verify_covers(n), 9, False),
-    "cor18": Suite(_cor18, 6, False),
-    "proctor": Suite(_proctor, 6, False),
+    "thm33": Suite(lambda n: verify_covers(n), INDEX_LIMIT, False),
+    "cor18": Suite(_cor18, INDEX_LIMIT, False),
+    "proctor": Suite(_proctor, INDEX_LIMIT, False),
     "d0max": Suite(_d0max, 8, False),
     "counts": Suite(_counts, 8, False),
 }

@@ -175,20 +175,66 @@ def test_extra_move_is_verification_failure(monkeypatch, capsys):
     ]
 
 
+def test_order_suites_report_planted_faults(monkeypatch, capsys):
+    # swapping two doubled involutions breaks cor18 both ways; lifting two
+    # attached permutations breaks proctor; witnesses come row-major in (a, b)
+    real_sigma, real_w = suites.kerov_involution, suites.permutation_of
+    low, high, top = placement(4, [(2, 1)]), placement(4, [(4, 3)]), placement(4, [(4, 2)])
+    swap = {low: high, high: low}
+    lift = {placement(4, [(3, 2)]): top, high: top}
+    monkeypatch.setattr(suites, "kerov_involution", lambda D: real_sigma(swap.get(D, D)))
+    monkeypatch.setattr(suites, "permutation_of", lambda D: real_w(lift.get(D, D)))
+
+    def failures(suite):
+        assert run(["verify", "--suite", suite, "--n", "4", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [report] = json.loads(captured.out)
+        assert report["checked"] == 225
+        return report["failures"]
+
+    def rooks(*cells):
+        return {"n": 4, "rooks": [list(c) for c in cells]}
+
+    assert failures("cor18") == [
+        {"first": rooks(*a), "second": rooks(*b), "placement_leq": le, "involution_leq": not le}
+        for a, b, le in [
+            (((2, 1),), ((2, 1), (3, 2)), True),
+            (((2, 1),), ((3, 1),), True),
+            (((2, 1),), ((3, 2), (4, 3)), False),
+            (((2, 1),), ((4, 2),), False),
+            (((4, 3),), ((2, 1), (3, 2)), False),
+            (((4, 3),), ((3, 1),), False),
+            (((4, 3),), ((3, 2), (4, 3)), True),
+            (((4, 3),), ((4, 2),), True),
+        ]
+    ]
+    assert failures("proctor") == [
+        {"smaller": rooks(*a), "larger": rooks(*b)}
+        for a, b in [
+            (((3, 2),), ((4, 3),)),
+            (((3, 2), (4, 3)), ((3, 2),)),
+            (((3, 2), (4, 3)), ((4, 3),)),
+            (((4, 2),), ((3, 2),)),
+            (((4, 2),), ((4, 3),)),
+            (((4, 3),), ((3, 2),)),
+        ]
+    ]
+
+
 def test_exhaustive_suites_leave_numpy_unloaded():
-    # numpy serves only the dense relations (cor18, proctor, PosetIndex.le
-    # and .covers); the CLI and the thm15/thm24/thm33 suites never load it
+    # numpy serves only the dense views PosetIndex.le and .covers; the CLI
+    # and every suite, cor18 and proctor included, never load it
     code = textwrap.dedent(
         """
         import contextlib, io, sys
         from rookposet import cli, poset
         with contextlib.redirect_stdout(io.StringIO()):
-            for suite in ("thm15", "thm24", "thm33"):
-                assert cli.run(["verify", "--suite", suite, "--n", "6", "--samples", "2"]) == 0, suite
+            assert cli.run(["verify", "--suite", "all", "--n", "6", "--samples", "2"]) == 0
+            for suite in ("cor18", "proctor"):
+                assert cli.run(["verify", "--suite", suite, "--n", "8"]) == 0, suite
         assert "numpy" not in sys.modules
         assert int(poset.poset_index(5).le.sum()) == 932
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.run(["verify", "--suite", "cor18", "--n", "4"]) == 0
         assert "numpy" in sys.modules
         """
     )
@@ -201,17 +247,17 @@ def test_exhaustive_suites_leave_numpy_unloaded():
 def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     # a support that is not a forest proves nothing about the ranks: thm24
     # fails (exit 1) with the cycle as its witness
-    real = suites.support_certificate
+    real = suites._support_certificate
     target = placement(4, [(2, 1), (3, 2)])
     extra = (Cell(1, 1), Cell(3, 2))  # closes (1,1)-(2,1)-(2,2)-(3,2) in the Borel support
 
-    def support_certificate(D):
-        cert = real(D)
+    def support_certificate(D, m_cells):
+        cert = real(D, m_cells)
         if D != target:
             return cert
         return dataclasses.replace(cert, borel=forest_support(cert.borel.edges + (extra,)))
 
-    monkeypatch.setattr(suites, "support_certificate", support_certificate)
+    monkeypatch.setattr(suites, "_support_certificate", support_certificate)
     assert run(["verify", "--suite", "thm24", "--n", "4", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -13,6 +13,8 @@ from rookposet import (
     empty_placement,
     enumerate_placements,
     hasse_dot,
+    inversions,
+    kerov_involution,
     leq,
     maximal_element,
     placement,
@@ -386,10 +388,26 @@ def test_order_property_suite(n):
         assert report.checked == bell_number(n) ** 2
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_covers_lower_the_incitti_rank_by_one(n):
+    # Bruhat order on involutions is graded by (inv + exc) / 2 (Incitti, J.
+    # Algebraic Combin. 20, 2004); through cor18 every cover of the rank-row
+    # order must drop that rank of the doubled involution by exactly one
+    index = poset_index(n)
+    rho = []
+    for D in index.placements:
+        sigma = kerov_involution(D)
+        twice = inversions(sigma) + sum(s > i for i, s in enumerate(sigma, start=1))
+        assert twice % 2 == 0, D
+        rho.append(twice // 2)
+    for d, r in enumerate(rho):
+        assert all(r - rho[t] == 1 for t in index.lower_cover_ids(d)), index.placements[d]
+
+
 def test_order_property_limit():
     for suite in ("cor18", "proctor"):
         with pytest.raises(LimitExceeded):
-            run_suite(suite, 7)
+            run_suite(suite, 10)
 
 
 # --- DOT export ----------------------------------------------------------------------
@@ -408,9 +426,9 @@ def test_hasse_dot_tiny():
 def test_hasse_dot_edge_count_matches_oracle():
     index = poset_index(3)
     total = sum(len(index.lower_cover_ids(d)) for d in range(len(index.placements)))
-    text = hasse_dot(3, index)
+    text = hasse_dot(3)
     assert text.count("->") == total
-    assert text == hasse_dot(3, index)  # byte-stable
+    assert text == hasse_dot(3)  # byte-stable
 
 
 def test_hasse_dot_node_lines():
