@@ -22,7 +22,6 @@ from .board import (
 )
 from .exactlin import (
     Scope,
-    check_polarization,
     coadjoint,
     placement_form,
     rank_profile,

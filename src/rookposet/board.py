@@ -31,6 +31,11 @@ def cell_lt(a: Cell, b: Cell) -> bool:
     return a != b and cell_leq(a, b)
 
 
+def all_lower_cells(n: int) -> list[Cell]:
+    """Strict lower-triangle cells in row-major order."""
+    return [Cell(i, j) for i in range(2, n + 1) for j in range(1, i)]
+
+
 @dataclass(frozen=True)
 class RookPlacement:
     """Non-attacking rooks strictly below the diagonal of an n x n board."""

@@ -13,24 +13,21 @@ in integers, with the adjugate det(b)·b^{-1} from exact integer back
 substitution, divided once at the end.  The South-West rank profile comes
 from a single bottom-up elimination whose pivots are counted per corner.
 No rounding happens anywhere.
+
+This module owns matrices and their ranks only.  The mark cells, the orbit
+dimension formulas and the polarization clauses belong to ``polarization``,
+which certifies them from the supports of the action without a matrix.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .board import Cell, RookPlacement, normalize_scalars
+from .board import Cell, RookPlacement, all_lower_cells, normalize_scalars
 from .errors import NotInvertible, NotUpperTriangular, WrongBoardSize
-from .polarization import (
-    _complement,
-    _subalgebra_witness,
-    all_lower_cells,
-    mp_sets,
-)
 
 Matrix = list[list[Fraction]]
 
@@ -274,107 +271,6 @@ def tangent_dimension(form: Matrix, scope: Scope) -> int:
     if scope is Scope.BOREL:
         gens += [(a, a) for a in range(1, n + 1)]
     return integer_rank([_bracket_row(int_form, a, b, cells) for a, b in gens])
-
-
-# ---------------------------------------------------------------------------
-# The commutator pairing
-
-
-def _pairing_entry(form: Matrix, x: Cell, y: Cell):
-    """Value of the form on the commutator of the root vectors at x and y."""
-    i, j = x
-    r, s = y
-    v = 0
-    if i == s:
-        v += form[r - 1][j - 1]
-    if j == r:
-        v -= form[i - 1][s - 1]
-    return v
-
-
-def _pairing_rows(form: Matrix, cells: Sequence[Cell]) -> list[list]:
-    return [[_pairing_entry(form, x, y) for y in cells] for x in cells]
-
-
-# ---------------------------------------------------------------------------
-# Polarization certification
-
-
-@dataclass(frozen=True)
-class ClauseResult:
-    name: str
-    ok: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class PolarizationReport:
-    clauses: tuple[ClauseResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.clauses)
-
-    def to_json(self) -> dict:
-        return {
-            c.name: {"ok": c.ok, "witness": _jsonable(c.witness)} for c in self.clauses
-        }
-
-
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (int, str, bool)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return str(obj)
-
-
-def check_polarization(D: RookPlacement, scalars=None) -> PolarizationReport:
-    """Certify that the complement of M spans a polarization at the form.
-
-    The pairing is evaluated densely at the form with the given scalars; its
-    first nonzero value on two complement cells is the isotropy witness, and
-    its rank is taken by Bareiss.
-    """
-    m_cells = mp_sets(D).m_cells
-    comp = sorted(_complement(D.n, m_cells))
-    form = placement_form(D, scalars)
-    isotropy = next(
-        (
-            (x, y, v)
-            for a, x in enumerate(comp)
-            for y in comp[a + 1 :]
-            if (v := _pairing_entry(form, x, y)) != 0
-        ),
-        None,
-    )
-    rank = integer_rank(_pairing_rows(_scaled(form)[0], all_lower_cells(D.n)))
-    return polarization_clauses(D.n, m_cells, isotropy, rank)
-
-
-def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy, rank: int) -> PolarizationReport:
-    """The four polarization clauses for the mark cells M of an n-board placement.
-
-    Isotropy: the pairing vanishes on the span of the complement of M (the
-    witness is None).  Codimension: the complement misses exactly the |M|
-    cells of M.  Maximality: the pairing has rank exactly 2|M|, which makes
-    the isotropic subspace maximal.  Subalgebra: the complement is closed
-    under commutators.
-    """
-    comp = _complement(n, m_cells)
-    n_cells = n * (n - 1) // 2
-    codim_ok = len(comp) == n_cells - len(m_cells) and not (m_cells & comp)
-    triple = _subalgebra_witness(m_cells)
-    return PolarizationReport(
-        (
-            ClauseResult("isotropy", isotropy is None, isotropy),
-            ClauseResult("codimension", codim_ok, len(comp)),
-            ClauseResult("maximality", rank == 2 * len(m_cells), rank),
-            ClauseResult("subalgebra", triple is None, triple),
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,18 @@ own column (the P cells).  The count |M| controls both orbit dimensions:
 by the length of the permutation attached to the placement.  The supports of
 the action at the placement form, read off the rooks, certify both dimensions
 and the polarization for every nonzero choice of rook scalars.
+
+This module owns every decision about M: the dimension bounds and the four
+polarization clauses are stated and tested here, and nothing here builds a
+matrix.  The dense ranks of ``exactlin`` (``tangent_dimension``) stay
+independent of it, and the tests compare the certificates against them.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .board import Cell, RookPlacement, permutation_of
+from .board import Cell, RookPlacement, all_lower_cells, permutation_of
 from .errors import BoundViolation
 from .permutations import inversions
 
@@ -58,11 +63,6 @@ def mp_sets(D: RookPlacement) -> MPData:
     return MPData(tuple(per), frozenset(marked), p_all)
 
 
-def all_lower_cells(n: int) -> list[Cell]:
-    """Strict lower-triangle cells in row-major order."""
-    return [Cell(i, j) for i in range(2, n + 1) for j in range(1, i)]
-
-
 def polarization_complement(D: RookPlacement) -> frozenset[Cell]:
     """Cells indexing the polarization subalgebra: the lower triangle minus M."""
     return _complement(D.n, mp_sets(D).m_cells)
@@ -101,8 +101,9 @@ class OrbitDimensions:
 def dimensions(D: RookPlacement) -> OrbitDimensions:
     """Closed-form orbit dimensions together with their length bounds.
 
-    Raises BoundViolation if 2|M| > l(w) - |D| or 2|M| + |D| > l(w); either
-    would contradict the proven inequality chain and must surface loudly.
+    Raises BoundViolation if 2|M| + |D| > l(w), which is also the bound
+    2|M| <= l(w) - |D|; a breach would contradict the proven inequality chain
+    and must surface loudly.
     """
     return _dimensions(D, mp_sets(D).m_cells)
 
@@ -111,7 +112,7 @@ def _dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
     length = inversions(permutation_of(D))
     m2 = 2 * len(m_cells)
     d = len(D.rooks)
-    if m2 > length - d or m2 + d > length:
+    if m2 + d > length:
         raise BoundViolation(
             f"dimension bound violated for {D}: 2|M|={m2}, |D|={d}, l(w)={length}"
         )
@@ -121,6 +122,60 @@ def _dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
         dim_theta=m2,
         dim_omega=m2 + d,
         length=length,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Polarization certification
+
+
+@dataclass(frozen=True)
+class ClauseResult:
+    name: str
+    ok: bool
+    witness: object = None
+
+
+@dataclass(frozen=True)
+class PolarizationReport:
+    clauses: tuple[ClauseResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.clauses)
+
+    def to_json(self) -> dict:
+        return {
+            c.name: {"ok": c.ok, "witness": _jsonable(c.witness)} for c in self.clauses
+        }
+
+
+def _jsonable(obj):
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    return str(obj)
+
+
+def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy, rank: int) -> PolarizationReport:
+    """The four polarization clauses for the mark cells M of an n-board placement.
+
+    Isotropy: the pairing vanishes on the span of the complement of M (the
+    witness is None).  Codimension: the complement misses exactly the |M|
+    cells of M, so M lies in the lower triangle.  Maximality: the pairing has
+    rank exactly 2|M|, which makes the isotropic subspace maximal.
+    Subalgebra: the complement is closed under commutators.
+    """
+    comp = _complement(n, m_cells)
+    triple = _subalgebra_witness(m_cells)
+    return PolarizationReport(
+        (
+            ClauseResult("isotropy", isotropy is None, isotropy),
+            ClauseResult("codimension", len(comp) == n * (n - 1) // 2 - len(m_cells), len(comp)),
+            ClauseResult("maximality", rank == 2 * len(m_cells), rank),
+            ClauseResult("subalgebra", triple is None, triple),
+        )
     )
 
 

@@ -7,8 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rookposet import Cell, CoverMove, MoveKind, Scope, cell_leq, cell_lt, placement
+from rookposet import (
+    Cell,
+    CoverMove,
+    MoveKind,
+    Scope,
+    cell_leq,
+    cell_lt,
+    mp_sets,
+    placement,
+    placement_form,
+)
+from rookposet.board import all_lower_cells
 from rookposet.exactlin import _scaled, integer_rank, random_upper
+from rookposet.polarization import polarization_clauses
 
 
 def upper_samples(n, seed, count, bound=3):
@@ -141,6 +153,44 @@ def kirillov_form(form):
         return (value(j, r) if i == s else 0) - (value(s, i) if r == j else 0)
 
     return SkewForm(tuple(cells), tuple(tuple(pairing(x, y) for y in cells) for x in cells))
+
+
+def pairing_entry(form, x, y):
+    """Value of the form on the commutator of the root vectors at x and y."""
+    i, j = x
+    r, s = y
+    v = 0
+    if i == s:
+        v += form[r - 1][j - 1]
+    if j == r:
+        v -= form[i - 1][s - 1]
+    return v
+
+
+def pairing_rows(form, cells):
+    return [[pairing_entry(form, x, y) for y in cells] for x in cells]
+
+
+def check_polarization(D, scalars=None):
+    """The polarization clauses with the pairing evaluated densely at the form.
+
+    Oracle for the support certificate: the first nonzero pairing value on two
+    complement cells is the isotropy witness, and the rank is taken by Bareiss.
+    """
+    m_cells = mp_sets(D).m_cells
+    comp = sorted(frozenset(all_lower_cells(D.n)) - m_cells)
+    form = placement_form(D, scalars)
+    isotropy = next(
+        (
+            (x, y, v)
+            for a, x in enumerate(comp)
+            for y in comp[a + 1 :]
+            if (v := pairing_entry(form, x, y)) != 0
+        ),
+        None,
+    )
+    rank = integer_rank(pairing_rows(_scaled(form)[0], all_lower_cells(D.n)))
+    return polarization_clauses(D.n, m_cells, isotropy, rank)
 
 
 @st.composite

@@ -9,7 +9,19 @@ from pathlib import Path
 import pytest
 
 import rookposet
-from rookposet import Cell, cli, from_json, placement, poset, suites
+from rookposet import (
+    Cell,
+    MPData,
+    cli,
+    from_json,
+    permutation_of,
+    placement,
+    polarization,
+    poset,
+    suites,
+    support_certificate,
+    to_json,
+)
 from rookposet.cli import run
 from rookposet.errors import AttackingRooks
 from rookposet.polarization import forest_support
@@ -71,6 +83,20 @@ def test_covers_json(tmp_path, capsys):
     assert kinds == {"split"}
 
 
+def test_covers_brute_force_reports_a_missing_move(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 4, "rooks": [[4, 1]]}))
+    real = cli.cover_moves
+    dropped = real(placement(4, [(4, 1)]))[0]
+    monkeypatch.setattr(cli, "cover_moves", lambda D: real(D)[1:])
+    assert run(["covers", str(path), "--brute-force", "--json"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["brute_force_match"] is False
+    assert blob["discrepancy"] == {"missing": [to_json(dropped.result)], "extra": []}
+    assert run(["covers", str(path), "--brute-force"]) == 1
+    assert "brute-force oracle: MISMATCH" in capsys.readouterr().out
+
+
 def test_covers_huge_board_is_input_error(tmp_path, capsys):
     # rejected before the split scan walks the indices between column 1 and row n
     path = tmp_path / "huge.json"
@@ -126,9 +152,13 @@ def test_verify_json_report(capsys):
     assert set(reports[0]) == {"suite", "n", "checked", "failures", "seed", "millis"}
 
 
-def test_verify_limit_is_usage_error(capsys):
-    assert run(["verify", "--n", "10", "--suite", "thm33"]) == 2
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("n", ["0", "10"])
+@pytest.mark.parametrize("suite", list(suites.SUITES))
+def test_verify_limit_is_usage_error(suite, n, capsys):
+    assert run(["verify", "--n", n, "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_broken_move_is_verification_failure(monkeypatch, capsys):
@@ -274,6 +304,116 @@ def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     assert run(["verify", "--suite", "thm24", "--n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL (1 failures)" in out and '"cycle"' in out
+
+
+def failure_list(argv, capsys):
+    """The failures of the one report ``verify --json`` prints for argv, which must exit 1."""
+    assert run(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [report] = json.loads(captured.out)
+    return report["failures"]
+
+
+THM24_TARGET = placement(4, [(3, 1), (4, 2)])
+THM24_TARGET_JSON = {"n": 4, "rooks": [[3, 1], [4, 2]]}
+
+
+def test_thm24_reports_raised_matchings(monkeypatch, capsys):
+    # each of the target's three supports claims one matched edge too many
+    real = polarization.forest_support
+    target_edges = {s.edges for _, s in support_certificate(THM24_TARGET).supports()}
+
+    def forest_support(edges):
+        support = real(edges)
+        if support.edges not in target_edges:
+            return support
+        return dataclasses.replace(support, matching=support.matching + 1)
+
+    monkeypatch.setattr(polarization, "forest_support", forest_support)
+    assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [
+        {
+            "placement": THM24_TARGET_JSON,
+            "check": "borel-dimension",
+            "tangent": 5,
+            "expected": 4,
+            "length": 4,
+        },
+        {
+            "placement": THM24_TARGET_JSON,
+            "clauses": {
+                "isotropy": {"ok": True, "witness": None},
+                "codimension": {"ok": True, "witness": 5},
+                "maximality": {"ok": False, "witness": 3},
+                "subalgebra": {"ok": True, "witness": None},
+            },
+        },
+        {"placement": THM24_TARGET_JSON, "check": "unipotent-dimension", "tangent": 3, "expected": 2},
+    ]
+
+
+def test_thm24_reports_a_bound_violation(monkeypatch, capsys):
+    real, w = polarization.inversions, permutation_of(THM24_TARGET)
+    monkeypatch.setattr(polarization, "inversions", lambda v: 0 if v == w else real(v))
+    assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [
+        {
+            "placement": THM24_TARGET_JSON,
+            "bound_violation": "dimension bound violated for (3,1)(4,2): 2|M|=2, |D|=2, l(w)=0",
+        }
+    ]
+
+
+def test_thm24_reports_failed_clauses(monkeypatch, capsys):
+    # with M = {(3,1)} in place of {(3,2)}, the pairing edge (2,1)-(3,2) joins two
+    # complement cells, and [e(3,2), e(2,1)] lands on (3,1) in M
+    real = suites.mp_sets
+    fake = MPData((), frozenset({Cell(3, 1)}), frozenset())
+    monkeypatch.setattr(suites, "mp_sets", lambda D: fake if D == THM24_TARGET else real(D))
+    assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [
+        {
+            "placement": THM24_TARGET_JSON,
+            "clauses": {
+                "isotropy": {"ok": False, "witness": [[2, 1], [3, 2]]},
+                "codimension": {"ok": True, "witness": 5},
+                "maximality": {"ok": True, "witness": 2},
+                "subalgebra": {"ok": False, "witness": [3, 2, 1]},
+            },
+        }
+    ]
+
+
+def test_thm15_reports_a_changed_rank_profile(monkeypatch, capsys):
+    # an all-zero profile matches only the empty placement's rank matrix
+    monkeypatch.setattr(suites, "rank_profile", lambda form: [[0] * len(form) for _ in form])
+    argv = ["verify", "--suite", "thm15", "--n", "2", "--samples", "2", "--seed", "5"]
+    assert failure_list(argv, capsys) == [
+        {
+            "placement": {"n": 2, "rooks": [[2, 1]]},
+            "sample": s,
+            "scalars": {"(2,1)": "-1/3"},
+            "group_element": [[b, b], ["0", "3"]],
+        }
+        for s, b in [(0, "3"), (1, "2")]
+    ]
+
+
+def test_counts_reports_every_check(monkeypatch, capsys):
+    real_bell, real_enum = suites.bell_number, suites.enumerate_placements
+    real_back = suites.placement_from_rank_matrix
+    moved = {placement(3, [(3, 1)]): placement(3, [(3, 2)])}
+
+    def placement_from_rank_matrix(R):
+        D = real_back(R)
+        return moved.get(D, D)
+
+    monkeypatch.setattr(suites, "bell_number", lambda n: real_bell(n) + 1)
+    monkeypatch.setattr(suites, "enumerate_placements", lambda n: real_enum(n)[::-1])
+    monkeypatch.setattr(suites, "placement_from_rank_matrix", placement_from_rank_matrix)
+    assert failure_list(["verify", "--suite", "counts", "--n", "3"], capsys) == [
+        {"check": "count", "got": 5, "expected": 6},
+        {"check": "canonical-order"},
+        {"check": "round-trip", "placement": {"n": 3, "rooks": [[3, 1]]}, "got": {"n": 3, "rooks": [[3, 2]]}},
+    ]
 
 
 @pytest.mark.parametrize("suite, samples", [("thm15", "-3"), ("thm15", "0")])

@@ -5,7 +5,6 @@ import pytest
 
 from rookposet import (
     Scope,
-    check_polarization,
     coadjoint,
     diagonal_normalizer,
     empty_placement,
@@ -29,6 +28,7 @@ from rookposet.exactlin import (
 from rookposet.errors import NotInvertible, NotUpperTriangular, WrongBoardSize
 
 from conftest import (
+    check_polarization,
     corner_rank_profile,
     fraction_bracket_rows,
     fraction_coadjoint,

@@ -6,7 +6,6 @@ from rookposet import (
     Cell,
     MPData,
     Scope,
-    check_polarization,
     dimensions,
     empty_placement,
     enumerate_placements,
@@ -18,11 +17,11 @@ from rookposet import (
     support_certificate,
     tangent_dimension,
 )
-from rookposet.exactlin import _bracket_row, _pairing_rows, _scaled, random_scalars
+from rookposet.exactlin import _bracket_row, _scaled, random_scalars
 from rookposet import polarization
 from rookposet.polarization import all_lower_cells, forest_support
 
-from conftest import placements
+from conftest import check_polarization, pairing_rows, placements
 
 
 def cells(*pairs):
@@ -148,7 +147,7 @@ def dense_supports(form):
     diagonal = [Cell(a, a) for a in range(1, n + 1)]
     unipotent = nonzero(gens, [_bracket_row(int_form, a, b, cells) for a, b in gens])
     borel = unipotent | nonzero(diagonal, [_bracket_row(int_form, a, a, cells) for a, _ in diagonal])
-    return unipotent, borel, nonzero(cells, _pairing_rows(int_form, cells))
+    return unipotent, borel, nonzero(cells, pairing_rows(int_form, cells))
 
 
 def test_support_certificate_matches_dense_action():

@@ -404,6 +404,13 @@ def test_covers_lower_the_incitti_rank_by_one(n):
         assert all(r - rho[t] == 1 for t in index.lower_cover_ids(d)), index.placements[d]
 
 
+@pytest.mark.parametrize("suite, checked", [("d0max", 21147), ("counts", 21147), ("thm15", 50)])
+def test_whole_board_suites_reach_n9(suite, checked):
+    report = run_suite(suite, 9, samples=1)  # d0max and counts ignore samples
+    assert report.passed
+    assert report.checked == checked
+
+
 def test_order_property_limit():
     for suite in ("cor18", "proctor"):
         with pytest.raises(LimitExceeded):
