@@ -177,8 +177,9 @@ def check_polarization(D, scalars=None):
     Oracle for the support certificate: the first nonzero pairing value on two
     complement cells is the isotropy witness, and the rank is taken by Bareiss.
     """
+    cells = all_lower_cells(D.n)
     m_cells = mp_sets(D).m_cells
-    comp = sorted(frozenset(all_lower_cells(D.n)) - m_cells)
+    comp = sorted(frozenset(cells) - m_cells)
     form = placement_form(D, scalars)
     isotropy = next(
         (
@@ -189,7 +190,7 @@ def check_polarization(D, scalars=None):
         ),
         None,
     )
-    rank = integer_rank(pairing_rows(_scaled(form)[0], all_lower_cells(D.n)))
+    rank = integer_rank(pairing_rows(_scaled(form)[0], cells))
     return polarization_clauses(D.n, m_cells, isotropy, rank)
 
 
