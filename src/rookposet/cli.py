@@ -34,7 +34,10 @@ def _dump(obj) -> str:
 
 def _load_placement(path: str) -> RookPlacement:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))
+        try:
+            return from_json(json.load(fh))
+        except RecursionError:  # the decoder recurses once per nested list or object
+            raise ValueError("placement JSON is nested too deeply") from None
 
 
 def _cell_list(cells) -> str:

@@ -6,15 +6,16 @@ predecessor in the rank-matrix order.  The guards are not taken on faith:
 ``verify_covers`` recomputes all lower covers from scratch over the full
 enumeration, from bit-packed down-sets of the rank-matrix order and a
 transitive reduction along a linear extension, and reports any discrepancy
-with a witness.
+with a witness.  The down-sets come from the order engine (``_Order``), which
+compares at essential cells and also serves the Bruhat orders of the suites.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from operator import add, and_
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import add, and_, itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .board import Cell, RookPlacement, placement, to_json
 from .errors import (
@@ -31,12 +32,10 @@ if TYPE_CHECKING:
 
 #: hard ceiling for plain enumeration (21147 placements at n=9 is still cheap)
 ENUM_LIMIT = 9
-#: ceiling for the all-pairs index: its down-sets are Python ints that hold
-#: about count^2 / 16 bytes (each lies within the positions below it in a
-#: linear extension), 1 MB for the 4140 placements at n=8 and 28 MB for the
-#: 21147 at n=9, whose order has 126 487 cover edges; the order suites
-#: (cor18, proctor) hold two lists of full down-sets, 56 MB each at n=9;
-#: numpy is loaded only for the dense views (``le``, ``covers``)
+#: ceiling for the all-pairs index, which keeps no down-sets: at n=9 (21147
+#: placements, 126 487 cover edges) it holds 70 threshold masks, 0.2 MB, and
+#: per placement a tuple of its masks, 1.7 MB in all; numpy is loaded only
+#: for the dense views (``le``, ``covers``)
 INDEX_LIMIT = 9
 
 
@@ -273,9 +272,10 @@ def _steps(D: RookPlacement) -> Iterator[Step]:
 
     for cell, below in zip(rooks, dominated):
         i, j = cell
-        for a in range(j + 1, i):
-            if rows >> a & 1:
-                continue
+        free = ~rows & (1 << i) - (2 << j)  # the free rows a with j < a < i
+        while free:
+            a = (free & -free).bit_length() - 1
+            free &= free - 1
             # column b must be free with (a, b) doubly occupied: b = a when
             # column a is free, else the first index above a that is not
             # doubly occupied, which must then be an occupied row
@@ -362,34 +362,152 @@ def raw_move(
 
 
 # ---------------------------------------------------------------------------
+# The order engine
+
+
+def _essential(points: Sequence[int], band: int) -> list[tuple[tuple[int, int], int]]:
+    """((I, J), T(I, J)) at the essential cells of T(I, J) = #{x <= I : points[x - 1] >= J}.
+
+    Row x has its point at column ``points[x - 1]`` (0: none; no two share a
+    column), and T lives on the cells 1 <= I, J <= m with J - I >= band.  A
+    table T' there is <= T iff it is at T's essential cells (Fulton): T' is
+    monotone with steps of 0 or 1, so a cell follows from a neighbour unless
+    N: row I has no point at a column >= J; E: column J has none at a row <=
+    I; S: (I + 1, J) is off the table or row I + 1 has its point at a column
+    >= J; W: (I, J - 1) is off the table or column J - 1 has its point at a
+    row <= I.  ``seen`` marks the columns of the rows <= I: E and W pick the
+    starts of its gaps, N and S bound J, and S and W hold at J = I + band.
+    """
+    m = len(points)
+    out = []
+    seen = 0
+    for I, (y, below) in enumerate(zip(points, [*points[1:], m]), start=1):
+        if y:
+            seen |= 1 << y
+        lo = I + band - 1
+        cand = 0
+        if y > lo:
+            lo = y
+        elif lo < m and not seen >> lo + 1 & 1:
+            cand = 1 << lo + 1  # the edge cell
+        if below > lo:  # the last row has no row below: there S bounds J by m
+            cand |= ((seen << 1) | 2) & ~seen & ((2 << below) - (2 << lo))
+        while cand:
+            J = (cand & -cand).bit_length() - 1
+            out.append(((I, J), (seen >> J).bit_count()))
+            cand &= cand - 1
+    return out
+
+
+def _rank_points(D: RookPlacement) -> list[int]:
+    """Points whose table on the band J > I is D's rank matrix: (I, J) holds entry (n + 1 - I, n + 1 - J)."""
+    points = [0] * D.n
+    for a, b in D.rooks:
+        points[D.n - a] = D.n + 1 - b
+    return points
+
+
+class _Masks(dict):
+    """Threshold masks by (cell, value): {p : T_p(cell) <= value} as an int, position p at bit p.
+
+    The first time a cell is asked for, the masks of all its values are read
+    off ``column(cell)``, T_p(cell) for every position p, in one pass: the
+    values, coded by rank (at most 256 of them), become the digits "1" and
+    "0" by ``bytes.translate`` and are parsed as a binary number.
+    """
+
+    def __init__(self, column: Callable[[object], Sequence[int]]):
+        self.column = column
+
+    def __missing__(self, pair: tuple) -> int:
+        col = self.column(pair[0])
+        values = sorted(set(col))
+        code = bytes(map({v: r for r, v in enumerate(values)}.__getitem__, reversed(col)))
+        for r, v in enumerate(values):
+            self[pair[0], v] = int(code.translate(b"1" * (r + 1) + b"0" * (255 - r)), 2)
+        if pair not in self:
+            raise KeyError(f"value {pair[1]} is not in the column of cell {pair[0]}")
+        return self[pair]
+
+
+class _Order:
+    """An order on elements at bit positions 0, 1, ..., compared at essential cells.
+
+    ``essential`` yields, per position q, the essential cells c of q's table
+    with their values T_q(c), and p <= q iff T_p(c) <= T_q(c) at all of them;
+    ``column(c)`` lists T_p(c) over all p.  Down(q) is the AND of q's
+    threshold masks (``_Masks``), built when asked for; none is kept.
+    """
+
+    def __init__(self, essential: Iterable[Iterable[tuple]], column: Callable[[object], Sequence[int]]):
+        masks = _Masks(column)
+        self._masks = [tuple(map(masks.__getitem__, cells)) for cells in essential]
+        self._all = (1 << len(self._masks)) - 1
+
+    def down(self, q: int) -> int:
+        return reduce(and_, self._masks[q], self._all)
+
+    def lower_covers(self, q: int) -> list[int]:
+        """Positions of q's lower covers, highest first, when positions ascend along a linear extension.
+
+        The highest position t left in Down(q) - {q} is under no cover found so far, so it
+        is a cover; clearing Down(t), built within the positions left, removes only non-covers.
+        """
+        rest = reduce(and_, self._masks[q], (2 << q) - 1) ^ 1 << q
+        found = []
+        t = q
+        while rest:
+            last, t = t, rest.bit_length() - 1
+            if t == last:  # a position missing from its own down-set is never cleared
+                raise ValueError(f"position {t} is not in its own down-set")
+            found.append(t)
+            rest ^= reduce(and_, self._masks[t], rest)
+        return found
+
+
+# ---------------------------------------------------------------------------
 # The brute-force oracle
 
 
 class PosetIndex:
-    """All placements of one board, their rank rows and their lower covers.
+    """All placements of one board, their rank rows and their order.
 
     ``rank_rows[k]`` is the flattened lower triangle of placement k's rank
     matrix, a tuple of ints; D <= E iff D's row is entrywise at most E's.
-    The lower covers of every placement are found once, when the index is
-    built, from down-sets held as Python ints (bit a of Down(b) is set iff
-    a <= b) by the linear-extension reduction of ``_lower_cover_lists``; at
-    n=8 the 4140 down-sets take about 1 MB.  Placements are looked up by
-    their packed key (``_key``).  The dense order and cover relations, 17 MB
-    each at n=8, are numpy bool matrices built on request and not kept; only
-    they import numpy.
+    Sorted by their sums the rows form a linear extension, ``_by_position``,
+    in which ``_order`` holds the placements; lower covers are peeled from
+    it on request.  Placements are looked up by their packed key (``_key``).
+    The dense order and cover relations, 17 MB each at n=8, are numpy bool
+    matrices built on request and not kept; only they import numpy.
     """
 
     def __init__(self, n: int, placements: list[RookPlacement], rank_rows: Sequence[Sequence[int]]):
+        # a < b entrywise with distinct rows makes the sum grow strictly
+        if len(set(map(tuple, rank_rows))) != len(rank_rows):
+            raise ValueError("rank-row sums are not a linear extension: a rank row repeats")
         self.n = n
         self.placements = placements
         self._ids = {_key(D): k for k, D in enumerate(placements)}
         self.rank_rows = rank_rows
-        self._lower = _lower_cover_lists(rank_rows)
+        sums = [sum(row) for row in rank_rows]
+        self._by_position = sorted(range(len(placements)), key=sums.__getitem__)
+        self._position = sorted(range(len(placements)), key=self._by_position.__getitem__)
+        rows = [rank_rows[k] for k in self._by_position]
+        # cell (I, J) of _rank_points is rank entry (n + 1 - I, n + 1 - J), at its row-major flat index
+        self._order = _Order(
+            (_essential(_rank_points(placements[k]), 1) for k in self._by_position),
+            lambda c: list(map(itemgetter((n - c[0]) * (n - c[0] - 1) // 2 + n - c[1]), rows)),
+        )
 
     @property
     def le(self) -> np.ndarray:
         """le[a, b] is True iff placement a <= placement b (a fresh dense numpy matrix)."""
-        return _pairwise_leq(self.rank_rows)
+        import numpy as np
+
+        size = (len(self.placements) + 7) // 8
+        down = b"".join(self._order.down(q).to_bytes(size, "little") for q in self._position)
+        bits = np.unpackbits(np.frombuffer(down, np.uint8).reshape(-1, size), axis=1, bitorder="little")
+        return bits.view(bool)[:, self._position].T
 
     @property
     def covers(self) -> np.ndarray:
@@ -397,8 +515,8 @@ class PosetIndex:
         import numpy as np
 
         out = np.zeros((len(self.placements),) * 2, dtype=bool)
-        for d, ts in enumerate(self._lower):
-            out[ts, d] = True
+        for d in range(len(self.placements)):
+            out[self.lower_cover_ids(d), d] = True
         return out
 
     def index_of(self, D: RookPlacement) -> int:
@@ -409,7 +527,7 @@ class PosetIndex:
 
     def lower_cover_ids(self, d: int) -> list[int]:
         """Ids of the immediate predecessors of placement d, ascending."""
-        return list(self._lower[d])
+        return sorted(map(self._by_position.__getitem__, self._order.lower_covers(self._position[d])))
 
     def lower_covers(self, D: RookPlacement) -> list[RookPlacement]:
         return [self.placements[t] for t in self.lower_cover_ids(self.index_of(D))]
@@ -431,71 +549,6 @@ def _rank_rows(n: int, placements: Sequence[RookPlacement]) -> list[tuple[int, .
     return [row_of[D.rooks] for D in placements]
 
 
-def _down_sets(rows: Sequence[Sequence[int]], within: list[int]) -> list[int]:
-    """Down-sets as ints: bit a of entry b is set iff bit a of within[b] is and rows[a] <= rows[b].
-
-    Per column c and value v, the threshold mask {a : rows[a][c] <= v} is
-    read off the column in one pass: its values, coded by rank, are mapped to
-    the digits "1" (rank at most v's) and "0" by ``bytes.translate`` and
-    parsed as a binary number (row a is bit a).  Down(b) is within[b] ANDed
-    with the mask at b's value in every column.  An AND costs the size of its
-    smaller operand, so a tight ``within`` keeps them short, and taking one
-    row at a time keeps its partial result in cache.  A column holds at most
-    256 distinct values.
-    """
-    masks = []
-    for col in zip(*rows):
-        values = sorted(set(col))
-        code = bytes(map({v: r for r, v in enumerate(values)}.__getitem__, reversed(col)))
-        masks.append(
-            {v: int(code.translate(b"1" * (r + 1) + b"0" * (255 - r)), 2) for r, v in enumerate(values)}
-        )
-    return [reduce(and_, map(dict.__getitem__, masks, row), start) for row, start in zip(rows, within)]
-
-
-def _pairwise_leq(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """le[a, b] is True iff rows[a] <= rows[b] entrywise, as a dense numpy bool matrix."""
-    import numpy as np
-
-    count = len(rows)
-    size = (count + 7) // 8
-    down = _down_sets(rows, [(1 << count) - 1] * count)
-    packed = np.frombuffer(b"".join(d.to_bytes(size, "little") for d in down), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(count, size), axis=1, count=count, bitorder="little")
-    return np.ascontiguousarray(bits.T, dtype=bool)
-
-
-def _lower_cover_lists(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Ascending lower-cover ids of every row, by a linear-extension reduction.
-
-    Rows sorted by their sum form a linear extension when no row repeats: a <
-    b means rows[a] <= rows[b] with the rows distinct, so the sum grows
-    strictly.  In sorted positions Down(d) - {d} then holds only positions
-    below d, so each down-set is built within them.  Its highest position t
-    lies under no cover found so far, so t is maximal below d, a cover;
-    clearing Down(t) removes only non-covers.  Repeating until nothing is
-    left yields exactly the covers of d.
-    """
-    count = len(rows)
-    if len(set(map(tuple, rows))) != count:
-        raise ValueError("rank-row sums are not a linear extension: a rank row repeats")
-    sums = [sum(row) for row in rows]
-    ids = sorted(range(count), key=sums.__getitem__)
-    down = _down_sets([rows[k] for k in ids], [(2 << q) - 1 for q in range(count)])
-    lower: list[list[int]] = [[] for _ in ids]
-    for q, below in enumerate(down):
-        if below >> q != 1:  # without its own bit the clearing below would never end
-            raise ValueError(f"row {ids[q]} is missing from its own down-set")
-        rest = below ^ (1 << q)
-        found = []
-        while rest:
-            t = rest.bit_length() - 1
-            found.append(ids[t])
-            rest ^= rest & down[t]
-        lower[ids[q]] = sorted(found)
-    return lower
-
-
 @lru_cache(maxsize=None)
 def poset_index(n: int) -> PosetIndex:
     if not 1 <= n <= INDEX_LIMIT:
@@ -515,13 +568,13 @@ def verify_covers(n: int) -> tuple[int, list[dict]]:
     idx = poset_index(n)
     ids = idx._ids
     failures: list[dict] = []
-    for D, lower in zip(idx.placements, idx._lower):
+    for d, D in enumerate(idx.placements):
         try:
             got = {ids[step[3]] for step in _steps(D)}
         except RookError as exc:
             failures.append({"placement": to_json(D), "error": str(exc)})
             continue
-        expected = set(lower)
+        expected = set(idx.lower_cover_ids(d))
         if got != expected:
             failures.append(
                 {

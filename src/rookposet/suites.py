@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from operator import xor
 from typing import Callable, Iterable, NamedTuple
 
 from .board import (
@@ -34,10 +33,10 @@ from .exactlin import (
     random_upper,
     rank_profile,
 )
-from .permutations import dominance_table
 from .polarization import _dimensions, _support_certificate, mp_sets, polarization_clauses
 from .poset import (
-    _down_sets,
+    _essential,
+    _Order,
     bell_number,
     enumerate_placements,
     maximal_element,
@@ -171,14 +170,15 @@ def _cor18(n: int) -> tuple[int, list[dict]]:
     idx = poset_index(n)
     failures: list[dict] = []
     if n >= 2:
-        le, sigma_le = _down_set_pair(idx, kerov_involution)
-        for a, b in _pairs(map(xor, le, sigma_le)):
+        le, sigma_le = idx._order, _bruhat_order(idx, kerov_involution)
+        for a, b in _pairs(idx, (le.down(q) ^ sigma_le.down(q) for q in range(len(idx.placements)))):
+            p, q = idx._position[a], idx._position[b]
             failures.append(
                 {
                     "first": to_json(idx.placements[a]),
                     "second": to_json(idx.placements[b]),
-                    "placement_leq": bool(le[b] >> a & 1),
-                    "involution_leq": bool(sigma_le[b] >> a & 1),
+                    "placement_leq": bool(le.down(q) >> p & 1),
+                    "involution_leq": bool(sigma_le.down(q) >> p & 1),
                 }
             )
     return len(idx.placements) ** 2, failures
@@ -187,28 +187,38 @@ def _cor18(n: int) -> tuple[int, list[dict]]:
 def _proctor(n: int) -> tuple[int, list[dict]]:
     """Comparable attached permutations force comparable placements, all pairs."""
     idx = poset_index(n)
-    le, w_le = _down_set_pair(idx, permutation_of)
+    le, w_le = idx._order, _bruhat_order(idx, permutation_of)
     failures = [
         {"smaller": to_json(idx.placements[a]), "larger": to_json(idx.placements[b])}
-        for a, b in _pairs(w & ~d for w, d in zip(w_le, le))
+        for a, b in _pairs(idx, (w_le.down(q) & ~le.down(q) for q in range(len(idx.placements))))
     ]
     return len(idx.placements) ** 2, failures
 
 
-def _down_set_pair(idx, perm_of) -> tuple[list[int], list[int]]:
-    """Down-sets (bit a of entry b iff a <= b) of the placements and of ``perm_of`` in Bruhat order."""
-    full = [(1 << len(idx.placements)) - 1] * len(idx.placements)
-    # column 1 (T[i][1] = i) and the last row (T[m][j] = m - j + 1) are the same for every permutation
-    tables = [sum((row[1:] for row in dominance_table(perm_of(D))[:-1]), ()) for D in idx.placements]
-    return _down_sets(idx.rank_rows, full), _down_sets(tables, full)
+def _bruhat_order(idx, perm_of) -> _Order:
+    """Bruhat order on ``perm_of`` of the placements, at the index's positions, by dominance tables.
+
+    A permutation w is held as its matrix, bit x(m + 1) + w(x + 1) for x < m,
+    so T(I, J) is its popcount in the quadrant of rows <= I, columns >= J.
+    """
+    perms = [perm_of(idx.placements[k]) for k in idx._by_position]
+    width = len(perms[0]) + 1
+    matrices = [sum(1 << x * width + y for x, y in enumerate(w)) for w in perms]
+
+    def column(cell: tuple[int, int]) -> list[int]:
+        quadrant = ((1 << cell[0] * width) - 1) // ((1 << width) - 1) * ((1 << width) - (1 << cell[1]))
+        return [(a & quadrant).bit_count() for a in matrices]
+
+    return _Order((_essential(w, 1 - len(w)) for w in perms), column)
 
 
-def _pairs(columns: Iterable[int]) -> list[tuple[int, int]]:
-    """(a, b) for every bit a set in columns[b], row-major; only set bits are visited."""
+def _pairs(idx, differences: Iterable[int]) -> list[tuple[int, int]]:
+    """The id pairs (a, b), row-major, whose positions (p, q) are the bits p set in the q-th difference."""
+    ids = idx._by_position
     out = []
-    for b, x in enumerate(columns):
+    for q, x in enumerate(differences):
         while x:
-            out.append(((x & -x).bit_length() - 1, b))
+            out.append((ids[(x & -x).bit_length() - 1], ids[q]))
             x &= x - 1
     return sorted(out)
 

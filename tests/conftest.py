@@ -212,13 +212,17 @@ def placements(draw, min_n=10, max_n=40):
 
 
 def broadcast_pairwise_leq(rows):
-    """le[a, b] = all(rows[a] <= rows[b]) by a chunked (count, count, width) broadcast."""
+    """le[a, b] = all(rows[a] <= rows[b]) by a chunked (width, count, count) broadcast.
+
+    The columns lead, so the reduction ANDs whole (chunk, count) slices.
+    """
     count, width = rows.shape
+    cols = np.ascontiguousarray(rows.T)
     le = np.empty((count, count), dtype=bool)
     step = max(1, min(count, 16_000_000 // max(1, count * width)))
     for lo in range(0, count, step):
         hi = min(count, lo + step)
-        le[lo:hi] = (rows[lo:hi, None, :] <= rows[None, :, :]).all(axis=2)
+        le[lo:hi] = (cols[:, lo:hi, None] <= cols[:, None, :]).all(axis=0)
     return le
 
 

@@ -252,17 +252,22 @@ def test_order_suites_report_planted_faults(monkeypatch, capsys):
     ]
 
 
-def test_exhaustive_suites_leave_numpy_unloaded():
+def test_exhaustive_suites_leave_numpy_unloaded(tmp_path):
     # numpy serves only the dense views PosetIndex.le and .covers; the CLI
-    # and every suite, cor18 and proctor included, never load it
+    # and every suite, cor18 and proctor included, never load it, and
+    # neither do the one-board brute force and the Hasse diagram
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps({"n": 6, "rooks": [[6, 1], [4, 2]]}))
     code = textwrap.dedent(
-        """
+        f"""
         import contextlib, io, sys
         from rookposet import cli, poset
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["verify", "--suite", "all", "--n", "6", "--samples", "2"]) == 0
             for suite in ("cor18", "proctor"):
                 assert cli.run(["verify", "--suite", suite, "--n", "8"]) == 0, suite
+            assert cli.run(["covers", {str(board)!r}, "--brute-force"]) == 0
+            assert cli.run(["hasse", "--n", "6", "-o", {str(tmp_path / "hasse6.dot")!r}]) == 0
         assert "numpy" not in sys.modules
         assert int(poset.poset_index(5).le.sum()) == 932
         assert "numpy" in sys.modules
@@ -500,6 +505,7 @@ def test_invalid_placement_is_input_error(tmp_path, capsys):
         '{"n": 4, "rooks": [[3, true]]}',
         '{"n": 4, "rooks": [["3", 1]]}',
         '{"n": 4, "rooks": [[3, 1, 2]]}',
+        pytest.param('{"n": 4, "rooks": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-100000-deep"),
     ],
 )
 def test_malformed_placement_is_input_error(tmp_path, capsys, text):

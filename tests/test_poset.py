@@ -1,8 +1,10 @@
 import json
+from itertools import permutations as iterperms
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rookposet import (
     Cell,
@@ -17,6 +19,7 @@ from rookposet import (
     kerov_involution,
     leq,
     maximal_element,
+    permutation_of,
     placement,
     poset_index,
     rank_matrix,
@@ -25,15 +28,18 @@ from rookposet import (
     run_suite,
     verify_covers,
 )
+from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard, UndefinedMove
+from rookposet.permutations import bruhat_leq, dominance_table
 from rookposet.poset import (
     PosetIndex,
+    _essential,
     _key,
-    _lower_cover_lists,
     _moved_key,
     _occupancy,
-    _pairwise_leq,
+    _Order,
+    _rank_points,
     _steps,
 )
 
@@ -306,27 +312,41 @@ def test_index_matches_dense_oracles(n):
         assert index.lower_cover_ids(d) == np.flatnonzero(covers[:, d]).tolist()
 
 
-def test_pairwise_leq_on_random_small_ints():
+def every_column(rows):
+    """The order of ``rows`` at their positions, with every column listed as essential."""
+    return _Order((list(enumerate(row)) for row in rows), lambda c: [row[c] for row in rows])
+
+
+def down_matrix(order):
+    """bits[p, q] is True iff bit p of Down(q) is set, as a dense numpy bool matrix."""
+    count = len(order._masks)
+    size = (count + 7) // 8
+    packed = np.frombuffer(b"".join(order.down(q).to_bytes(size, "little") for q in range(count)), np.uint8)
+    return np.unpackbits(packed.reshape(count, size), axis=1, count=count, bitorder="little").T.astype(bool)
+
+
+def test_order_down_sets_on_random_small_ints():
     rng = np.random.default_rng(5)
     shapes = [(0, 3), (1, 0), (5, 0), (1, 4), (7, 1), (8, 2), (9, 3), (13, 5), (31, 4), (70, 2)]
     for count, width in shapes:
         for low, high in [(0, 2), (-2, 3), (-30, 30)]:
             rows = rng.integers(low, high, size=(count, width), dtype=np.int16)
-            got = _pairwise_leq(rows.tolist())
-            assert got.shape == (count, count) and got.dtype == bool
-            assert np.array_equal(got, broadcast_pairwise_leq(rows))
+            assert np.array_equal(down_matrix(every_column(rows.tolist())), broadcast_pairwise_leq(rows))
 
 
-def test_lower_cover_lists_on_random_distinct_rows():
-    # any distinct rows: a < b entrywise forces sum(a) < sum(b)
+def test_order_lower_covers_on_random_distinct_rows():
+    # any distinct rows: a < b entrywise forces sum(a) < sum(b), so rows
+    # sorted by their sums are at positions of a linear extension
     rng = np.random.default_rng(6)
     cases = [(1, 0, 1), (6, 1, 4), (9, 3, 2), (40, 3, 3), (150, 4, 4), (300, 6, 3)]
     for count, width, high in cases:
         rows = np.unique(rng.integers(0, high, size=(count, width)), axis=0)
         rows = rows[rng.permutation(len(rows))]
+        rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]
         covers = matmul_covers(broadcast_pairwise_leq(rows))
-        expected = [np.flatnonzero(covers[:, d]).tolist() for d in range(len(rows))]
-        assert _lower_cover_lists(rows.tolist()) == expected
+        order = every_column(rows.tolist())
+        for q in range(len(rows)):
+            assert sorted(order.lower_covers(q)) == np.flatnonzero(covers[:, q]).tolist()
 
 
 def test_repeated_rows_fail_the_linear_extension_check():
@@ -337,9 +357,109 @@ def test_repeated_rows_fail_the_linear_extension_check():
     permuted = np.vstack([rows, rows[np.random.default_rng(7).permutation(len(rows))]])
     for bad in (tampered, permuted):
         with pytest.raises(ValueError, match="linear extension"):
-            _lower_cover_lists(bad.tolist())
-    with pytest.raises(ValueError, match="linear extension"):
-        PosetIndex(4, index.placements, tampered.tolist())
+            PosetIndex(4, index.placements, bad.tolist())
+
+
+def test_position_missing_from_its_own_down_set_fails():
+    # a table whose essential value undercuts its own column entry would
+    # leave its own bit set for ever; the peel raises instead
+    order = _Order([[(0, 1)], [(0, 1)]], lambda c: [1, 2])
+    assert order.down(1) == 0b01
+    with pytest.raises(ValueError, match="own down-set"):
+        order.lower_covers(1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_essential_down_sets_match_full_tables(n):
+    # the engine compares at essential cells only; the oracle compares the
+    # full rank rows and dominance tables of every pair
+    index = poset_index(n)
+    ranked = [index.placements[k] for k in index._by_position]
+    tables = {"rank": [index.rank_rows[k] for k in index._by_position]}
+    orders = {"rank": index._order}
+    for name, perm_of in [("sigma", kerov_involution), ("w", permutation_of)]:
+        if name == "sigma" and n == 1:
+            continue
+        tables[name] = [sum(dominance_table(perm_of(D)), ()) for D in ranked]
+        orders[name] = suites._bruhat_order(index, perm_of)
+    for name, order in orders.items():
+        le = broadcast_pairwise_leq(np.array(tables[name], dtype=np.uint8).reshape(len(ranked), -1))
+        assert np.array_equal(down_matrix(order), le), name
+
+
+def table_essential(T, on_table):
+    """Cells of T (1-based, T[I][J]) that no neighbour implies, read off the entries.
+
+    N: T(I - 1, J) = T(I, J); E: T(I, J + 1) = T(I, J); S and W: the cell
+    below or to the left is off the table or one more.  Off the square, T is
+    0 above and to the right.
+    """
+    def at(I, J):
+        return T[I][J] if 1 <= I < len(T) and 1 <= J < len(T) else 0
+
+    return {
+        ((I, J), T[I][J])
+        for I in range(1, len(T))
+        for J in range(1, len(T))
+        if on_table(I, J)
+        and at(I - 1, J) == T[I][J] == at(I, J + 1)
+        and (not on_table(I + 1, J) or I + 1 == len(T) or T[I + 1][J] == T[I][J] + 1)
+        and (not on_table(I, J - 1) or J == 1 or T[I][J - 1] == T[I][J] + 1)
+    }
+
+
+def test_essential_cells_are_exactly_the_unimplied_entries():
+    # the neighbour conditions on the points against the same conditions on
+    # the entries of the full tables: no cell is missing and none is extra
+    for n in range(1, 7):
+        for D in enumerate_placements(n):
+            R = rank_matrix(D)  # entry (i, j) sits at (n + 1 - i, n + 1 - j), on the band J > I
+            T = [[0] * (n + 1)] + [
+                [0] + [R.entry(n + 1 - I, n + 1 - J) if J > I else 0 for J in range(1, n + 1)]
+                for I in range(1, n + 1)
+            ]
+            assert set(_essential(_rank_points(D), 1)) == table_essential(T, lambda I, J: J > I), D
+    for m in range(1, 7):
+        for w in iterperms(range(1, m + 1)):
+            T = [[0] * (m + 1)] + [[0, *row] for row in dominance_table(w)]
+            assert set(_essential(w, 1 - m)) == table_essential(T, lambda I, J: True), w
+
+
+def test_engine_counts_at_n8_without_numpy():
+    # the sizes of the order and cover relations that the benchmark's gate reads
+    index = poset_index(8)
+    count = len(index.placements)
+    assert sum(index._order.down(q).bit_count() for q in range(count)) == 3_139_072
+    assert sum(len(index.lower_cover_ids(d)) for d in range(count)) == 20_500
+
+
+def chain_below(D, rng):
+    """A placement reached from D by a random chain of cover moves (D itself for length 0)."""
+    for _ in range(rng.randrange(6)):
+        moves = cover_moves(D)
+        if not moves:
+            break
+        D = rng.choice(moves).result
+    return D
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(10, 40).flatmap(lambda n: st.tuples(placements(n, n), placements(n, n))), st.randoms())
+def test_essential_cells_beyond_enumeration(pair, rng):
+    # comparable pairs (E below D by a chain of covers) and unrelated pairs,
+    # against the full tables
+    D, unrelated = pair
+    for E in (chain_below(D, rng), unrelated):
+        rank_E = rank_matrix(E)
+        essential = _essential(_rank_points(D), 1)
+        by_cells = all(rank_E.entry(D.n + 1 - I, D.n + 1 - J) <= v for (I, J), v in essential)
+        assert by_cells == rank_E.dominated_by(rank_matrix(D))
+        for perm_of in (kerov_involution, permutation_of):
+            v, w = perm_of(E), perm_of(D)
+            table = dominance_table(v)
+            by_cells = all(table[I - 1][J - 1] <= x for (I, J), x in _essential(w, 1 - len(w)))
+            assert by_cells == bruhat_leq(v, w)
+        assert leq(E, D) == bruhat_leq(kerov_involution(E), kerov_involution(D))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
