@@ -144,12 +144,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    index = poset_index(args.n)
-    text = hasse_dot(args.n)
-    edges = text.count("->")
+    lines = hasse_dot(args.n)
+    edges = 0
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"wrote covering diagram for n={args.n} ({len(index.placements)} nodes, {edges} edges) to {args.output}")
+        for line in lines:
+            fh.write(line)
+            edges += "->" in line
+    nodes = len(poset_index(args.n).placements)
+    print(f"wrote covering diagram for n={args.n} ({nodes} nodes, {edges} edges) to {args.output}")
     return 0
 
 

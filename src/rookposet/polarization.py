@@ -4,9 +4,10 @@ Each rook, taken in ascending column order, marks cells to its right in its
 own row (the M cells) and pairs each mark with a cell above the rook in its
 own column (the P cells).  The count |M| controls both orbit dimensions:
 2|M| for the unipotent orbit and 2|M| + |D| for the Borel orbit, each bounded
-by the length of the permutation attached to the placement.  The supports of
-the action at the placement form, read off the rooks, certify both dimensions
-and the polarization for every nonzero choice of rook scalars.
+by the length of the permutation attached to the placement.  The support of
+the unipotent action at the placement form, read off the rooks, certifies
+both dimensions and the polarization for every nonzero choice of rook
+scalars.
 
 This module owns every decision about M: the dimension bounds and the four
 polarization clauses are stated and tested here, and nothing here builds a
@@ -65,11 +66,7 @@ def mp_sets(D: RookPlacement) -> MPData:
 
 def polarization_complement(D: RookPlacement) -> frozenset[Cell]:
     """Cells indexing the polarization subalgebra: the lower triangle minus M."""
-    return _complement(D.n, mp_sets(D).m_cells)
-
-
-def _complement(n: int, m_cells: frozenset[Cell]) -> frozenset[Cell]:
-    return frozenset(all_lower_cells(n)) - m_cells
+    return frozenset(all_lower_cells(D.n)) - mp_sets(D).m_cells
 
 
 def subalgebra_witness(D: RookPlacement) -> tuple[int, int, int] | None:
@@ -163,16 +160,17 @@ def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy, rank: int) 
 
     Isotropy: the pairing vanishes on the span of the complement of M (the
     witness is None).  Codimension: the complement misses exactly the |M|
-    cells of M, so M lies in the lower triangle.  Maximality: the pairing has
-    rank exactly 2|M|, which makes the isotropic subspace maximal.
-    Subalgebra: the complement is closed under commutators.
+    cells of M, so M lies in the lower triangle; the witness is the size of
+    the complement.  Maximality: the pairing has rank exactly 2|M|, which
+    makes the isotropic subspace maximal.  Subalgebra: the complement is
+    closed under commutators.
     """
-    comp = _complement(n, m_cells)
+    inside = sum(1 <= c.col < c.row <= n for c in m_cells)
     triple = _subalgebra_witness(m_cells)
     return PolarizationReport(
         (
             ClauseResult("isotropy", isotropy is None, isotropy),
-            ClauseResult("codimension", len(comp) == n * (n - 1) // 2 - len(m_cells), len(comp)),
+            ClauseResult("codimension", inside == len(m_cells), n * (n - 1) // 2 - inside),
             ClauseResult("maximality", rank == 2 * len(m_cells), rank),
             ClauseResult("subalgebra", triple is None, triple),
         )
@@ -180,31 +178,18 @@ def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy, rank: int) 
 
 
 # ---------------------------------------------------------------------------
-# Scalar-free certificate: the supports of the infinitesimal action
+# Scalar-free certificate: the support of the infinitesimal action
 
 Edge = tuple[Cell, Cell]  # (row, column) of one nonzero matrix entry
 
 
 @dataclass(frozen=True)
-class Support:
-    """Bipartite support of a matrix: rows against columns, one edge per nonzero."""
+class SupportCertificate:
+    """The forest test and matching of a placement form's unipotent support, and its isotropy witness."""
 
-    edges: tuple[Edge, ...]
     cycle: tuple[Edge, ...] | None  # None when the support is a forest
     matching: int  # size of a maximum matching; exact when the support is a forest
-
-
-@dataclass(frozen=True)
-class SupportCertificate:
-    """The three supports of a placement form and the pairing's isotropy witness."""
-
-    unipotent: Support
-    borel: Support
-    pairing: Support
     isotropy: Edge | None  # a pairing edge joining two cells outside M
-
-    def supports(self) -> tuple[tuple[str, Support], ...]:
-        return (("unipotent", self.unipotent), ("borel", self.borel), ("pairing", self.pairing))
 
 
 def support_certificate(D: RookPlacement) -> SupportCertificate:
@@ -228,42 +213,54 @@ def support_certificate(D: RookPlacement) -> SupportCertificate:
     Ryser, Combinatorial Matrix Theory, 1991).  Isotropy is scalar-free too:
     the pairing vanishes on the complement of M iff no pairing edge joins
     two complement cells.
+
+    Only the unipotent support is built; the other two follow from it.
+
+    - Pairing: transposing each row cell maps the unipotent edges one to one
+      onto the pairing edges, so the two supports are the same graph under a
+      relabelling, with the same cycles and the same maximum matching.
+    - Borel: the chain edges join diagonal rows to rook cells, which no
+      unipotent edge meets, and form one path (p,p)-(p,q)-(q,q)-... per
+      chain of r rooks, with 2r + 1 vertices and a maximum matching of r.
+      So the Borel support is a forest iff the unipotent one is, and its
+      matching is |D| larger.
     """
     return _support_certificate(D, mp_sets(D).m_cells)
 
 
 def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportCertificate:
-    unipotent: list[Edge] = []
-    diagonal: list[Edge] = []
-    pairing: list[Edge] = []
+    # cell (i, j) has id i * w + j; rows lie above the diagonal and columns
+    # below it, so one id per cell keeps the two sides apart
+    w = D.n + 1
+    marked = {i * w + j for i, j in m_cells}
+    edges: list[tuple[int, int]] = []
+    isotropy = None
     for p, q in D.rooks:
-        rook = Cell(p, q)
-        diagonal += ((Cell(p, p), rook), (Cell(q, q), rook))
         for k in range(q + 1, p):
-            unipotent += ((Cell(k, p), Cell(k, q)), (Cell(q, k), Cell(p, k)))
-            pairing += ((Cell(k, q), Cell(p, k)), (Cell(p, k), Cell(k, q)))
-    isotropy = next(((x, y) for x, y in pairing if x not in m_cells and y not in m_cells), None)
-    return SupportCertificate(
-        forest_support(unipotent),
-        forest_support(unipotent + diagonal),
-        forest_support(pairing),
-        isotropy,
-    )
+            kq, pk = k * w + q, p * w + k
+            edges += ((k * w + p, kq), (q * w + k, pk))
+            if isotropy is None and kq not in marked and pk not in marked:
+                isotropy = (Cell(k, q), Cell(p, k))
+    cycle, matching = forest_support(edges)
+    if cycle is not None:
+        cycle = tuple((Cell(*divmod(row, w)), Cell(*divmod(col, w))) for row, col in cycle)
+    return SupportCertificate(cycle, matching, isotropy)
 
 
-def forest_support(edges) -> Support:
-    """Union-find acyclicity test and leaf-stripping maximum matching.
+def forest_support(edges: list[tuple[int, int]]) -> tuple[tuple[tuple[int, int], ...] | None, int]:
+    """Union-find acyclicity test and leaf-stripping maximum matching of (row, column) id edges.
 
-    The first edge that joins two vertices already connected closes a cycle,
-    reported as that edge followed by the path back between its ends.  On a
-    forest, matching a leaf to its only neighbour is always optimal, so
-    stripping leaves gives a maximum matching.
+    Row and column ids must be disjoint.  The first edge that joins two
+    vertices already connected closes a cycle, reported as that edge
+    followed by the path back between its ends.  On a forest, matching a
+    leaf to its only neighbour is always optimal, so stripping leaves gives
+    a maximum matching.  Returns the cycle (None for a forest) and the
+    matching size.
     """
-    edges = tuple(edges)
-    parent: dict = {}
-    adjacent: dict = {}
+    parent: dict[int, int] = {}
+    adjacent: dict[int, list[int]] = {}
 
-    def find(v):
+    def find(v: int) -> int:
         root = parent.setdefault(v, v)
         while parent[root] != root:
             root = parent[root]
@@ -273,18 +270,17 @@ def forest_support(edges) -> Support:
 
     cycle = None
     for row, col in edges:
-        u, v = (0, row), (1, col)
-        ru, rv = find(u), find(v)
+        ru, rv = find(row), find(col)
         if ru != rv:
             parent[ru] = rv
         elif cycle is None:
-            cycle = ((row, col),) + _path_edges(adjacent, v, u)
-        adjacent.setdefault(u, []).append(v)
-        adjacent.setdefault(v, []).append(u)
+            cycle = ((row, col),) + _path_edges(adjacent, col, row)
+        adjacent.setdefault(row, []).append(col)
+        adjacent.setdefault(col, []).append(row)
 
     degree = {v: len(ws) for v, ws in adjacent.items()}
     leaves = [v for v, d in degree.items() if d == 1]
-    matched: set = set()
+    matched: set[int] = set()
     while leaves:
         v = leaves.pop()
         if v in matched or degree[v] != 1:
@@ -296,23 +292,21 @@ def forest_support(edges) -> Support:
                 degree[w] -= 1
                 if degree[w] == 1:
                     leaves.append(w)
-    return Support(edges, cycle, len(matched) // 2)
+    return cycle, len(matched) // 2
 
 
-def _path_edges(adjacent: dict, start, goal) -> tuple[Edge, ...]:
-    """The (row, column) edges of the path from start to goal, by breadth-first search."""
-    came_from = {start: None}
-    queue = deque([start])
-    while goal not in came_from:
+def _path_edges(adjacent: dict, column: int, row: int) -> tuple[tuple[int, int], ...]:
+    """The (row, column) edges of the path from a column to a row, by breadth-first search."""
+    came_from = {column: None}
+    queue = deque([column])
+    while row not in came_from:
         v = queue.popleft()
         for w in adjacent[v]:
             if w not in came_from:
                 came_from[w] = v
                 queue.append(w)
-    path = []
-    v = goal
-    while came_from[v] is not None:
-        prev = came_from[v]
-        path.append((v[1], prev[1]) if v[0] == 0 else (prev[1], v[1]))
-        v = prev
-    return tuple(reversed(path))
+    path = [row]  # back to the column: a row at every even position
+    while came_from[path[-1]] is not None:
+        path.append(came_from[path[-1]])
+    edges = [(path[i], path[i + 1]) if i % 2 == 0 else (path[i + 1], path[i]) for i in range(len(path) - 1)]
+    return tuple(reversed(edges))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import add, and_, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -473,7 +474,7 @@ class PosetIndex:
     """All placements of one board, their rank rows and their order.
 
     ``rank_rows[k]`` is the flattened lower triangle of placement k's rank
-    matrix, a tuple of ints; D <= E iff D's row is entrywise at most E's.
+    matrix, built from its rooks; D <= E iff D's row is entrywise at most E's.
     Sorted by their sums the rows form a linear extension, ``_by_position``,
     in which ``_order`` holds the placements; lower covers are peeled from
     it on request.  Placements are looked up by their packed key (``_key``).
@@ -481,9 +482,10 @@ class PosetIndex:
     matrices built on request and not kept; only they import numpy.
     """
 
-    def __init__(self, n: int, placements: list[RookPlacement], rank_rows: Sequence[Sequence[int]]):
+    def __init__(self, n: int, placements: list[RookPlacement]):
+        rank_rows = _rank_rows(n, placements)
         # a < b entrywise with distinct rows makes the sum grow strictly
-        if len(set(map(tuple, rank_rows))) != len(rank_rows):
+        if len(set(rank_rows)) != len(rank_rows):
             raise ValueError("rank-row sums are not a linear extension: a rank row repeats")
         self.n = n
         self.placements = placements
@@ -534,27 +536,29 @@ class PosetIndex:
 
 
 def _rank_rows(n: int, placements: Sequence[RookPlacement]) -> list[tuple[int, ...]]:
-    """``rank_matrix(D).flatten_lower()`` for placements listed with every prefix first.
+    """``rank_matrix(D).flatten_lower()`` for each placement D of the n-board.
 
     A rank entry counts rooks, so D's row is the row of D without its last
     rook plus that rook's 0/1 row: rook (i, j) counts at the lower cell
-    (a, b) iff i >= a and j <= b.
+    (a, b) iff i >= a and j <= b.  Each prefix's row is built once.
     """
     cells = [Cell(a, b) for a in range(2, n + 1) for b in range(1, a)]
     delta = {rook: tuple(int(rook.row >= a and rook.col <= b) for a, b in cells) for rook in cells}
     row_of = {(): (0,) * len(cells)}
-    for D in placements:
-        if D.rooks:
-            row_of[D.rooks] = tuple(map(add, row_of[D.rooks[:-1]], delta[D.rooks[-1]]))
-    return [row_of[D.rooks] for D in placements]
+
+    def row(rooks: tuple[Cell, ...]) -> tuple[int, ...]:
+        if rooks not in row_of:
+            row_of[rooks] = tuple(map(add, row(rooks[:-1]), delta[rooks[-1]]))
+        return row_of[rooks]
+
+    return [row(D.rooks) for D in placements]
 
 
 @lru_cache(maxsize=None)
 def poset_index(n: int) -> PosetIndex:
     if not 1 <= n <= INDEX_LIMIT:
         raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
-    all_placements = enumerate_placements(n)
-    return PosetIndex(n, all_placements, _rank_rows(n, all_placements))
+    return PosetIndex(n, enumerate_placements(n))
 
 
 def verify_covers(n: int) -> tuple[int, list[dict]]:
@@ -601,18 +605,16 @@ def maximal_element(n: int) -> RookPlacement:
 # DOT export
 
 
-def hasse_dot(n: int) -> str:
-    """Graphviz digraph of the covering relation, one edge D -> cover."""
+def hasse_dot(n: int) -> Iterator[str]:
+    """Lines of the Graphviz digraph of the covering relation, one edge D -> cover.
+
+    The index is built at the call; the lines are made as they are read.
+    """
     idx = poset_index(n)
-
-    def label(D: RookPlacement) -> str:
-        return "".join(f"({c.row},{c.col})" for c in D.rooks)
-
-    lines = ["digraph hasse {", "  node [shape=box];"]
-    for D in idx.placements:
-        lines.append(f'  "{label(D)}";')
-    for d, D in enumerate(idx.placements):
-        for t in idx.lower_cover_ids(d):
-            lines.append(f'  "{label(D)}" -> "{label(idx.placements[t])}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = ['"' + "".join(f"({c.row},{c.col})" for c in D.rooks) + '"' for D in idx.placements]
+    return chain(
+        ["digraph hasse {\n", "  node [shape=box];\n"],
+        (f"  {label};\n" for label in labels),
+        (f"  {labels[d]} -> {labels[t]};\n" for d in range(len(labels)) for t in idx.lower_cover_ids(d)),
+        ["}\n"],
+    )

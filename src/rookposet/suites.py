@@ -114,11 +114,12 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
     """Polarization and orbit dimensions at every nonzero choice of rook scalars.
 
     Per placement: the closed-form dimensions respect their bounds, and the
-    three supports of the placement form's action are forests, so each
-    maximum matching is the rank for every nonzero scalar choice.  Those
-    ranks must be 2|M| + |D| (Borel tangent), 2|M| (unipotent tangent) and
-    2|M| (pairing, the maximality clause), and the other polarization clauses
-    must pass.
+    unipotent support of the placement form's action is a forest, so its
+    maximum matching is the rank for every nonzero scalar choice; the pairing
+    has the same rank and the Borel tangent |D| more (``support_certificate``).
+    Those ranks must be 2|M| + |D| (Borel tangent), 2|M| (unipotent tangent)
+    and 2|M| (pairing, the maximality clause), and the other polarization
+    clauses must pass.
     """
     failures: list[dict] = []
     everything = enumerate_placements(n)
@@ -130,35 +131,34 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
             failures.append({"placement": to_json(D), "bound_violation": str(exc)})
             continue
         cert = _support_certificate(D, m_cells)
-        for name, support in cert.supports():
-            if support.cycle is not None:
-                failures.append(
-                    {
-                        "placement": to_json(D),
-                        "check": "forest",
-                        "support": name,
-                        "cycle": [[list(row), list(col)] for row, col in support.cycle],
-                    }
-                )
-        if cert.borel.matching != dims.dim_omega:
+        if cert.cycle is not None:
+            failures.append(
+                {
+                    "placement": to_json(D),
+                    "check": "forest",
+                    "support": "unipotent",
+                    "cycle": [[list(row), list(col)] for row, col in cert.cycle],
+                }
+            )
+        if cert.matching + dims.d_size != dims.dim_omega:
             failures.append(
                 {
                     "placement": to_json(D),
                     "check": "borel-dimension",
-                    "tangent": cert.borel.matching,
+                    "tangent": cert.matching + dims.d_size,
                     "expected": dims.dim_omega,
                     "length": dims.length,
                 }
             )
-        report = polarization_clauses(n, m_cells, cert.isotropy, cert.pairing.matching)
+        report = polarization_clauses(n, m_cells, cert.isotropy, cert.matching)
         if not report.passed:
             failures.append({"placement": to_json(D), "clauses": report.to_json()})
-        if cert.unipotent.matching != dims.dim_theta:
+        if cert.matching != dims.dim_theta:
             failures.append(
                 {
                     "placement": to_json(D),
                     "check": "unipotent-dimension",
-                    "tangent": cert.unipotent.matching,
+                    "tangent": cert.matching,
                     "expected": dims.dim_theta,
                 }
             )

@@ -19,12 +19,10 @@ from rookposet import (
     polarization,
     poset,
     suites,
-    support_certificate,
     to_json,
 )
 from rookposet.cli import run
 from rookposet.errors import AttackingRooks
-from rookposet.polarization import forest_support
 
 
 @pytest.fixture
@@ -279,20 +277,26 @@ def test_exhaustive_suites_leave_numpy_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+THM24_TARGET = placement(4, [(3, 1), (4, 2)])
+THM24_TARGET_JSON = {"n": 4, "rooks": [[3, 1], [4, 2]]}
+
+
 def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     # a support that is not a forest proves nothing about the ranks: thm24
-    # fails (exit 1) with the cycle as its witness
-    real = suites._support_certificate
-    target = placement(4, [(2, 1), (3, 2)])
-    extra = (Cell(1, 1), Cell(3, 2))  # closes (1,1)-(2,1)-(2,2)-(3,2) in the Borel support
+    # fails (exit 1) with the cycle as its witness, reported once; the leaf
+    # strip on the cyclic support then finds too small a matching
 
-    def support_certificate(D, m_cells):
-        cert = real(D, m_cells)
-        if D != target:
-            return cert
-        return dataclasses.replace(cert, borel=forest_support(cert.borel.edges + (extra,)))
+    def ids(*edges):  # cell (i, j) has id i * 5 + j on the 4-board
+        return [(a * 5 + b, c * 5 + d) for (a, b), (c, d) in edges]
 
-    monkeypatch.setattr(suites, "_support_certificate", support_certificate)
+    # the target's support is the paths (2,1)-(2,3)-(4,3) and (1,2)-(3,2)-(3,4);
+    # joining the rows (1,2) and (3,4) to the column (2,1) closes a 4-cycle
+    target = ids(((2, 3), (2, 1)), ((1, 2), (3, 2)), ((3, 4), (3, 2)), ((2, 3), (4, 3)))
+    extra = ids(((1, 2), (2, 1)), ((3, 4), (2, 1)))
+    real = polarization.forest_support
+    monkeypatch.setattr(
+        polarization, "forest_support", lambda edges: real(edges + extra if edges == target else edges)
+    )
     assert run(["verify", "--suite", "thm24", "--n", "4", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -300,15 +304,32 @@ def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     assert report["checked"] == 15
     assert report["failures"] == [
         {
-            "placement": {"n": 4, "rooks": [[2, 1], [3, 2]]},
+            "placement": THM24_TARGET_JSON,
             "check": "forest",
-            "support": "borel",
-            "cycle": [[[1, 1], [3, 2]], [[2, 2], [3, 2]], [[2, 2], [2, 1]], [[1, 1], [2, 1]]],
-        }
+            "support": "unipotent",
+            "cycle": [[[3, 4], [2, 1]], [[1, 2], [2, 1]], [[1, 2], [3, 2]], [[3, 4], [3, 2]]],
+        },
+        {
+            "placement": THM24_TARGET_JSON,
+            "check": "borel-dimension",
+            "tangent": 3,
+            "expected": 4,
+            "length": 4,
+        },
+        {
+            "placement": THM24_TARGET_JSON,
+            "clauses": {
+                "isotropy": {"ok": True, "witness": None},
+                "codimension": {"ok": True, "witness": 5},
+                "maximality": {"ok": False, "witness": 1},
+                "subalgebra": {"ok": True, "witness": None},
+            },
+        },
+        {"placement": THM24_TARGET_JSON, "check": "unipotent-dimension", "tangent": 1, "expected": 2},
     ]
     assert run(["verify", "--suite", "thm24", "--n", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL (1 failures)" in out and '"cycle"' in out
+    assert "FAIL (4 failures)" in out and '"cycle"' in out
 
 
 def failure_list(argv, capsys):
@@ -320,22 +341,16 @@ def failure_list(argv, capsys):
     return report["failures"]
 
 
-THM24_TARGET = placement(4, [(3, 1), (4, 2)])
-THM24_TARGET_JSON = {"n": 4, "rooks": [[3, 1], [4, 2]]}
-
-
 def test_thm24_reports_raised_matchings(monkeypatch, capsys):
-    # each of the target's three supports claims one matched edge too many
-    real = polarization.forest_support
-    target_edges = {s.edges for _, s in support_certificate(THM24_TARGET).supports()}
+    # the target's support claims one matched edge too many, and with it the
+    # pairing and the Borel tangent
+    real = suites._support_certificate
 
-    def forest_support(edges):
-        support = real(edges)
-        if support.edges not in target_edges:
-            return support
-        return dataclasses.replace(support, matching=support.matching + 1)
+    def support_certificate(D, m_cells):
+        cert = real(D, m_cells)
+        return dataclasses.replace(cert, matching=cert.matching + 1) if D == THM24_TARGET else cert
 
-    monkeypatch.setattr(polarization, "forest_support", forest_support)
+    monkeypatch.setattr(suites, "_support_certificate", support_certificate)
     assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [
         {
             "placement": THM24_TARGET_JSON,

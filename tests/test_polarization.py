@@ -19,7 +19,7 @@ from rookposet import (
 )
 from rookposet.exactlin import _bracket_row, _scaled, random_scalars
 from rookposet import polarization
-from rookposet.polarization import all_lower_cells, forest_support
+from rookposet.polarization import SupportCertificate, all_lower_cells, forest_support
 
 from conftest import check_polarization, pairing_rows, placements
 
@@ -150,51 +150,59 @@ def dense_supports(form):
     return unipotent, borel, nonzero(cells, pairing_rows(int_form, cells))
 
 
-def test_support_certificate_matches_dense_action():
+def test_support_certificate_matches_dense_action(monkeypatch):
     # every placement with n <= 6 and 100 seeded ones at n = 7, at unit scalars
-    # and at three random draws: same supports, and matchings equal the Bareiss ranks
+    # and at three random draws: the one support the certificate tests is the
+    # dense unipotent support, its rows transposed are the dense pairing
+    # support and its rows plus the chain edges the dense Borel support, and
+    # the Bareiss ranks are its matching, its matching and its matching + |D|
+    seen = []
+    real = polarization.forest_support
+    monkeypatch.setattr(polarization, "forest_support", lambda edges: seen.append(edges) or real(edges))
     chosen = [D for n in range(1, 7) for D in enumerate_placements(n)]
     chosen += random.Random(7).sample(enumerate_placements(7), 100)
     rng = random.Random(24)
     for D in chosen:
+        seen.clear()
         cert = support_certificate(D)
-        edges = [s.edges for _, s in cert.supports()]
-        assert all(len(set(e)) == len(e) for e in edges)
-        assert all(s.cycle is None for _, s in cert.supports())
+        [edges] = seen  # one forest test per placement
+        assert len(set(edges)) == len(edges)
+        assert cert.cycle is None
+        unipotent = {(Cell(*divmod(row, D.n + 1)), Cell(*divmod(col, D.n + 1))) for row, col in edges}
+        pairing = {(Cell(row.col, row.row), col) for row, col in unipotent}
+        borel = unipotent | {(Cell(i, i), rook) for rook in D.rooks for i in rook}
         for scalars in [None] + [random_scalars(D, rng) for _ in range(3)]:
             form = placement_form(D, scalars)
-            assert tuple(set(e) for e in edges) == dense_supports(form)
-            assert cert.unipotent.matching == tangent_dimension(form, Scope.UNIPOTENT)
-            assert cert.borel.matching == tangent_dimension(form, Scope.BOREL)
+            assert (unipotent, borel, pairing) == dense_supports(form)
+            assert cert.matching == tangent_dimension(form, Scope.UNIPOTENT)
+            assert cert.matching + len(D.rooks) == tangent_dimension(form, Scope.BOREL)
             clauses = {c.name: c for c in check_polarization(D, scalars).clauses}
-            assert cert.pairing.matching == clauses["maximality"].witness
+            assert cert.matching == clauses["maximality"].witness
             assert (cert.isotropy is None) == clauses["isotropy"].ok
 
 
 def test_support_certificate_golden(golden8):
     cert = support_certificate(golden8)
     dims = dimensions(golden8)
-    assert (cert.borel.matching, cert.unipotent.matching, cert.pairing.matching) == (17, 12, 12)
-    assert dims.dim_omega == 17 and dims.dim_theta == 12
-    assert cert.isotropy is None
-    empty = support_certificate(empty_placement(3))
-    assert all(s.edges == () and s.matching == 0 for _, s in empty.supports())
+    assert (cert.cycle, cert.matching, cert.isotropy) == (None, 12, None)
+    assert dims.dim_omega == 12 + 5 and dims.dim_theta == 12
+    assert support_certificate(empty_placement(3)) == SupportCertificate(None, 0, None)
 
 
 def test_forest_support_reports_a_cycle():
-    # the support of a 2x2 matrix with four nonzeros is a 4-cycle
-    r1, r2, c1, c2 = Cell(1, 2), Cell(2, 2), Cell(2, 1), Cell(3, 1)
-    support = forest_support([(r1, c1), (r1, c2), (r2, c1), (r2, c2)])
-    assert support.cycle == ((r2, c2), (r1, c2), (r1, c1), (r2, c1))
-    path = forest_support([(r1, c1), (r1, c2), (r2, c1)])
-    assert path.cycle is None and path.matching == 2
+    # the support of a 2x2 matrix with four nonzeros is a 4-cycle; vertices
+    # are the ids i * 4 + j of the cells (1,2), (2,2) (rows), (2,1), (3,1)
+    r1, r2, c1, c2 = 6, 10, 9, 13
+    cycle, _ = forest_support([(r1, c1), (r1, c2), (r2, c1), (r2, c2)])
+    assert cycle == ((r2, c2), (r1, c2), (r1, c1), (r2, c1))
+    assert forest_support([(r1, c1), (r1, c2), (r2, c1)]) == (None, 2)
 
 
 def test_isotropy_reports_an_edge_between_complement_cells(monkeypatch, golden8):
-    # with M taken as empty, every pairing edge joins two complement cells
+    # with M taken as empty, every pairing edge joins two complement cells;
+    # the first is (k,q)-(p,k) for the first rook (3,1) and k = 2
     monkeypatch.setattr(polarization, "mp_sets", lambda D: MPData((), frozenset(), frozenset()))
-    cert = support_certificate(golden8)
-    assert cert.pairing.edges and cert.isotropy == cert.pairing.edges[0]
+    assert support_certificate(golden8).isotropy == (Cell(2, 1), Cell(3, 2))
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -202,10 +210,9 @@ def test_isotropy_reports_an_edge_between_complement_cells(monkeypatch, golden8)
 def test_support_certificate_beyond_enumeration(D):
     cert = support_certificate(D)
     dims = dimensions(D)  # raises BoundViolation on any breach
-    assert all(s.cycle is None for _, s in cert.supports())
-    assert cert.borel.matching == dims.dim_omega
-    assert cert.unipotent.matching == dims.dim_theta
-    assert cert.pairing.matching == dims.dim_theta
+    assert cert.cycle is None
+    assert cert.matching + dims.d_size == dims.dim_omega
+    assert cert.matching == dims.dim_theta
     assert cert.isotropy is None
     assert dims.dim_theta <= dims.length - dims.d_size
     assert dims.dim_omega <= dims.length

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import permutations as iterperms
 
 import numpy as np
@@ -350,14 +351,14 @@ def test_order_lower_covers_on_random_distinct_rows():
 
 
 def test_repeated_rows_fail_the_linear_extension_check():
-    index = poset_index(4)
-    rows = np.array(index.rank_rows)
-    tampered = rows.copy()
-    tampered[7] = tampered[3]  # two placements with one rank matrix
-    permuted = np.vstack([rows, rows[np.random.default_rng(7).permutation(len(rows))]])
+    # the rows come from the placements, so only a repeated placement repeats a row
+    placements = poset_index(4).placements
+    tampered = placements[:7] + placements[3:4] + placements[8:]
+    permuted = placements + random.Random(7).sample(placements, len(placements))
     for bad in (tampered, permuted):
         with pytest.raises(ValueError, match="linear extension"):
-            PosetIndex(4, index.placements, bad.tolist())
+            PosetIndex(4, bad)
+    assert PosetIndex(4, placements[::-1]).rank_rows == poset_index(4).rank_rows[::-1]
 
 
 def test_position_missing_from_its_own_down_set_fails():
@@ -434,22 +435,36 @@ def test_engine_counts_at_n8_without_numpy():
 
 
 def chain_below(D, rng):
-    """A placement reached from D by a random chain of cover moves (D itself for length 0)."""
+    """D and the placements below it along a random chain of cover moves."""
+    chain = [D]
     for _ in range(rng.randrange(6)):
-        moves = cover_moves(D)
+        moves = cover_moves(chain[-1])
         if not moves:
             break
-        D = rng.choice(moves).result
-    return D
+        chain.append(rng.choice(moves).result)
+    return chain
+
+
+def incitti_rank(D):
+    """(inv + exc) / 2 of D's doubled involution, the rank function of Bruhat order on
+    involutions (Incitti, J. Algebraic Combin. 20, 2004)."""
+    sigma = kerov_involution(D)
+    twice = inversions(sigma) + sum(s > i for i, s in enumerate(sigma, start=1))
+    assert twice % 2 == 0, D
+    return twice // 2
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.integers(10, 40).flatmap(lambda n: st.tuples(placements(n, n), placements(n, n))), st.randoms())
 def test_essential_cells_beyond_enumeration(pair, rng):
     # comparable pairs (E below D by a chain of covers) and unrelated pairs,
-    # against the full tables
+    # against the full tables; each cover along the chain lowers the Incitti
+    # rank of the doubled involution by exactly one
     D, unrelated = pair
-    for E in (chain_below(D, rng), unrelated):
+    chain = chain_below(D, rng)
+    ranks = [incitti_rank(E) for E in chain]
+    assert all(a - b == 1 for a, b in zip(ranks, ranks[1:])), chain
+    for E in (chain[-1], unrelated):
         rank_E = rank_matrix(E)
         essential = _essential(_rank_points(D), 1)
         by_cells = all(rank_E.entry(D.n + 1 - I, D.n + 1 - J) <= v for (I, J), v in essential)
@@ -510,16 +525,10 @@ def test_order_property_suite(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_covers_lower_the_incitti_rank_by_one(n):
-    # Bruhat order on involutions is graded by (inv + exc) / 2 (Incitti, J.
-    # Algebraic Combin. 20, 2004); through cor18 every cover of the rank-row
-    # order must drop that rank of the doubled involution by exactly one
+    # Bruhat order on involutions is graded by the Incitti rank; through cor18
+    # every cover of the rank-row order must drop that rank by exactly one
     index = poset_index(n)
-    rho = []
-    for D in index.placements:
-        sigma = kerov_involution(D)
-        twice = inversions(sigma) + sum(s > i for i, s in enumerate(sigma, start=1))
-        assert twice % 2 == 0, D
-        rho.append(twice // 2)
+    rho = [incitti_rank(D) for D in index.placements]
     for d, r in enumerate(rho):
         assert all(r - rho[t] == 1 for t in index.lower_cover_ids(d)), index.placements[d]
 
@@ -541,11 +550,11 @@ def test_order_property_limit():
 
 
 def test_hasse_dot_tiny():
-    text = hasse_dot(1)
+    text = "".join(hasse_dot(1))
     assert text.count("->") == 0
     assert '"";' in text
 
-    text = hasse_dot(2)
+    text = "".join(hasse_dot(2))
     assert text.count("->") == 1
     assert '"(2,1)" -> "";' in text
 
@@ -553,13 +562,13 @@ def test_hasse_dot_tiny():
 def test_hasse_dot_edge_count_matches_oracle():
     index = poset_index(3)
     total = sum(len(index.lower_cover_ids(d)) for d in range(len(index.placements)))
-    text = hasse_dot(3)
+    text = "".join(hasse_dot(3))
     assert text.count("->") == total
-    assert text == hasse_dot(3)  # byte-stable
+    assert text == "".join(hasse_dot(3))  # byte-stable
 
 
 def test_hasse_dot_node_lines():
-    text = hasse_dot(3)
+    text = "".join(hasse_dot(3))
     assert text.count(";") >= 5  # one node statement per placement
     assert text.startswith("digraph hasse {")
 
