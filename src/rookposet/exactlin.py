@@ -1,18 +1,21 @@
 """Exact matrix engine: forms, coadjoint action, ranks, dimensions.
 
-Forms and group elements are plain lists of lists of Fraction.  Linear forms
-are strictly lower-triangular matrices paired with root cells via the trace
-form, so the (i, j) entry of a form is its value on the elementary matrix
-e_{j,i}.
+Forms are plain lists of lists of Fraction; ``random_upper`` samples group
+elements as lists of ints, and ``coadjoint`` takes ints or Fractions.  Linear
+forms are strictly lower-triangular matrices paired with root cells via the
+trace form, so the (i, j) entry of a form is its value on the elementary
+matrix e_{j,i}.
 
 Only integers flow through the hot paths.  Every rank computed here, corner
 ranks included, is unchanged by a nonzero scalar, so a rational matrix is
 first scaled to integers by the lcm of its denominators (``_scaled``) and then
-eliminated fraction-free (Bareiss).  The coadjoint action is b·form·adj(b)
-in integers, with the adjugate det(b)·b^{-1} from exact integer back
-substitution, divided once at the end.  The South-West rank profile comes
-from a single bottom-up elimination whose pivots are counted per corner.
-No rounding happens anywhere.
+eliminated fraction-free (Bareiss).  The coadjoint action is B·L·adj(B) on
+integer scalings, with the adjugate det(B)·B^{-1} from exact integer back
+substitution, summed as one sparse rank-one term per nonzero entry of the form
+(``_integer_action``); ``coadjoint`` divides once at the end, and the
+``thm15`` suite reads the corner ranks of the integer result directly.  The
+South-West rank profile comes from a single bottom-up elimination whose pivots
+are counted per corner.  No rounding happens anywhere.
 
 This module owns matrices and their ranks only.  The mark cells, the orbit
 dimension formulas and the polarization clauses belong to ``polarization``,
@@ -24,7 +27,7 @@ import math
 import random
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .board import Cell, RookPlacement, all_lower_cells, normalize_scalars
 from .errors import NotInvertible, NotUpperTriangular, WrongBoardSize
@@ -60,23 +63,6 @@ def diagonal(values: Sequence[object]) -> Matrix:
 
 def as_fractions(mat: Sequence[Sequence[object]]) -> Matrix:
     return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Product of two square matrices over ints or Fractions, skipping zeros."""
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(n):
-                    if bk[j]:
-                        oi[j] += f * bk[j]
-    return out
 
 
 def _scaled(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -168,32 +154,54 @@ def placement_form(D: RookPlacement, scalars=None) -> Matrix:
     return form
 
 
+def _integer_action(
+    big_b: Sequence[Sequence[int]], entries: Iterable[tuple[int, int, int]], n: int
+) -> tuple[list[list[int]], int]:
+    """(B·L·adj(B) on the strict lower triangle, det(B)) for integer B and L.
+
+    B is an invertible upper-triangular integer matrix; L is the strictly
+    lower integer form whose nonzero entries are ``entries``, triples
+    (r, c, v) with 0-based r > c.  B·L·adj(B) = det(B)·(B L B^{-1}), so it
+    has the corner ranks of the action on L.  It is the sum over entries of
+    the rank-one terms v·B[:, r] ⊗ adj[c, :]; both factors are upper
+    triangular, so a term reaches only the cells (x, y) with c <= y < x <= r.
+    """
+    if len(big_b) != n:
+        raise ValueError(f"matrix size {len(big_b)} does not match form size {n}")
+    for i in range(n):
+        for j in range(i):
+            if big_b[i][j] != 0:
+                raise NotUpperTriangular(f"entry ({i + 1},{j + 1}) is nonzero")
+        if big_b[i][i] == 0:
+            raise NotInvertible(f"zero diagonal entry at ({i + 1},{i + 1})")
+    det, adj = _upper_adjugate(big_b)
+    out = [[0] * n for _ in range(n)]
+    for r, c, v in entries:
+        adj_c = adj[c]
+        for x in range(c + 1, r + 1):
+            f = v * big_b[x][r]
+            if f:
+                row = out[x]
+                for y in range(c, x):
+                    row[y] += f * adj_c[y]
+    return out, det
+
+
 def coadjoint(b: Sequence[Sequence[object]], form: Matrix) -> Matrix:
     """b.form = (b form b^{-1}) restricted to the strict lower triangle.
 
     Computed in integers: with B = c·b and L = s·form integer scalings,
-    B·L·adj(B) = s·det(B)·(b form b^{-1}), divided once at the end.
+    B·L·adj(B) = s·det(B)·(b form b^{-1}) (``_integer_action``), divided
+    once at the end.
     """
     n = _check_form(form)
-    bmat = as_fractions(b)
-    if len(bmat) != n:
-        raise ValueError(f"matrix size {len(bmat)} does not match form size {n}")
-    for i in range(n):
-        for j in range(i):
-            if bmat[i][j] != 0:
-                raise NotUpperTriangular(f"entry ({i + 1},{j + 1}) is nonzero")
-        if bmat[i][i] == 0:
-            raise NotInvertible(f"zero diagonal entry at ({i + 1},{i + 1})")
-    big_b, _ = _scaled(bmat)
+    big_b, _ = _scaled(as_fractions(b))
     big_form, scale = _scaled(form)
-    det, adj = _upper_adjugate(big_b)
-    prod = mat_mul(mat_mul(big_b, big_form), adj)
+    entries = [(r, c, v) for r, row in enumerate(big_form) for c, v in enumerate(row[:r]) if v]
+    lower, det = _integer_action(big_b, entries, n)
     den = scale * det
     zero = Fraction(0)
-    return [
-        [Fraction(prod[i][j], den) if j < i and prod[i][j] else zero for j in range(n)]
-        for i in range(n)
-    ]
+    return [[Fraction(x, den) if x else zero for x in row] for row in lower]
 
 
 def rank_profile(form: Matrix) -> list[list[int]]:
@@ -277,14 +285,14 @@ def tangent_dimension(form: Matrix, scope: Scope) -> int:
 # Deterministic sampling
 
 
-def random_upper(n: int, rng: random.Random, bound: int, scope: Scope) -> Matrix:
-    """Invertible upper-triangular sample: [-bound, bound] above a diagonal of 1 or [1, bound]."""
-    mat = zeros(n)
+def random_upper(n: int, rng: random.Random, bound: int, scope: Scope) -> list[list[int]]:
+    """Invertible upper-triangular integer sample: [-bound, bound] above a diagonal of 1 or [1, bound]."""
+    mat = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mat[i][j] = Fraction(rng.randint(-bound, bound))
+            mat[i][j] = rng.randint(-bound, bound)
     for i in range(n):
-        mat[i][i] = Fraction(1) if scope is Scope.UNIPOTENT else Fraction(rng.randint(1, bound))
+        mat[i][i] = 1 if scope is Scope.UNIPOTENT else rng.randint(1, bound)
     return mat
 
 

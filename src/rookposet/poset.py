@@ -18,7 +18,7 @@ from itertools import chain
 from operator import add, and_, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .board import Cell, RookPlacement, placement, to_json
+from .board import Cell, RookPlacement, all_lower_cells, placement, to_json
 from .errors import (
     AttackingRooks,
     LimitExceeded,
@@ -76,24 +76,18 @@ def enumerate_placements(n: int) -> list[RookPlacement]:
     """
     if not 1 <= n <= ENUM_LIMIT:
         raise LimitExceeded(f"enumeration supports 1 <= n <= {ENUM_LIMIT}, got {n}")
+    # after[c]: the cells in columns above c, in (row, col) order, with their row bits
+    cells = sorted(all_lower_cells(n))
+    after = [[(cell, 1 << cell.row) for cell in cells if cell.col > c] for c in range(n)]
     out: list[RookPlacement] = []
 
-    def extend(prefix: list[Cell], used_rows: set[int], last_col: int) -> None:
-        out.append(RookPlacement(n, tuple(prefix)))
-        candidates = sorted(
-            Cell(i, j)
-            for j in range(last_col + 1, n)
-            for i in range(j + 1, n + 1)
-            if i not in used_rows
-        )
-        for cell in candidates:
-            prefix.append(cell)
-            used_rows.add(cell.row)
-            extend(prefix, used_rows, cell.col)
-            used_rows.discard(cell.row)
-            prefix.pop()
+    def extend(prefix: tuple[Cell, ...], used_rows: int, last_col: int) -> None:
+        out.append(RookPlacement(n, prefix))
+        for cell, bit in after[last_col]:
+            if not used_rows & bit:
+                extend(prefix + (cell,), used_rows | bit, cell.col)
 
-    extend([], set(), 0)
+    extend((), 0, 0)
     return out
 
 
@@ -483,6 +477,9 @@ class PosetIndex:
     """
 
     def __init__(self, n: int, placements: list[RookPlacement]):
+        stray = next((D for D in placements if D.n != n), None)
+        if stray is not None:
+            raise ValueError(f"{stray} is a placement of the {stray.n}-board, not of the {n}-board")
         rank_rows = _rank_rows(n, placements)
         # a < b entrywise with distinct rows makes the sum grow strictly
         if len(set(rank_rows)) != len(rank_rows):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,21 +18,23 @@ from rookposet import (
     tangent_dimension,
 )
 from rookposet.exactlin import (
+    _integer_action,
     diagonal,
     identity,
     integer_rank,
-    mat_mul,
     random_scalars,
     random_upper,
     zeros,
 )
 from rookposet.errors import NotInvertible, NotUpperTriangular, WrongBoardSize
+from rookposet.suites import _orbit_profile
 
 from conftest import (
     check_polarization,
     corner_rank_profile,
     fraction_bracket_rows,
     fraction_coadjoint,
+    fraction_product,
     fraction_rank,
     kirillov_form,
     matrix_rank,
@@ -116,7 +119,7 @@ def test_coadjoint_is_group_action():
     form = placement_form(D)
     for k in range(0, 100, 2):
         b1, b2 = samples[k], samples[k + 1]
-        assert coadjoint(mat_mul(b1, b2), form) == coadjoint(b1, coadjoint(b2, form))
+        assert coadjoint(fraction_product(b1, b2), form) == coadjoint(b1, coadjoint(b2, form))
 
 
 def test_coadjoint_matches_fraction_oracle():
@@ -147,12 +150,48 @@ def test_coadjoint_rejects_bad_matrices():
     form = placement_form(placement(3, [(3, 1)]))
     lower = identity(3)
     lower[2][0] = Fraction(1)
-    with pytest.raises(NotUpperTriangular):
+    with pytest.raises(NotUpperTriangular, match=r"^entry \(3,1\) is nonzero$"):
         coadjoint(lower, form)
     singular = identity(3)
     singular[1][1] = Fraction(0)
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible, match=r"^zero diagonal entry at \(2,2\)$"):
         coadjoint(singular, form)
+    with pytest.raises(ValueError, match="^matrix size 4 does not match form size 3$"):
+        coadjoint(identity(4), form)
+
+
+def test_integer_action_matches_fraction_oracle():
+    # dense integer forms; B's diagonal takes both signs, so det(B) < 0 occurs
+    rng = random.Random(29)
+    negative = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        big_b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            big_b[i][i] = rng.choice((-1, 1)) * rng.randint(1, 4)
+            for j in range(i + 1, n):
+                big_b[i][j] = rng.randint(-4, 4)
+        form = [[rng.randint(-5, 5) if j < i else 0 for j in range(n)] for i in range(n)]
+        entries = [(r, c, v) for r, row in enumerate(form) for c, v in enumerate(row) if v]
+        lower, det = _integer_action(big_b, entries, n)
+        assert det == math.prod(big_b[i][i] for i in range(n))
+        assert lower == [[det * x for x in row] for row in fraction_coadjoint(big_b, form)]
+        assert all(type(x) is int for row in lower for x in row)
+        negative += det < 0
+    assert negative > 50
+
+
+def test_orbit_profile_matches_fraction_path():
+    # the thm15 suite's integer profile against the Fraction action it replaces
+    rng = random.Random(31)
+    cases = [(D, 5) for n in range(1, 6) for D in enumerate_placements(n)]
+    cases += [(D, 1) for D in rng.sample(enumerate_placements(8), 100)]
+    for D, count in cases:
+        for _ in range(count):
+            xi = random_scalars(D, rng)
+            b = random_upper(D.n, rng, 3, Scope.BOREL)
+            expected = rank_profile(coadjoint(b, placement_form(D, xi)))
+            assert _orbit_profile(b, xi) == expected == [list(row) for row in rank_matrix(D).entries]
 
 
 def test_form_validation():
@@ -325,6 +364,18 @@ def test_sample_borel_shape_unipotent():
     mat = random_upper(2, random.Random(1), 1, Scope.UNIPOTENT)
     assert mat[0][0] == 1 and mat[1][1] == 1 and mat[1][0] == 0
     assert mat[0][1] in (-1, 0, 1)
+
+
+def test_sample_borel_pinned():
+    # one draw pinned, so the order of the randint calls cannot drift
+    assert random_upper(4, random.Random(2024), 3, Scope.BOREL) == [
+        [3, 0, -2, 2],
+        [0, 2, 1, -1],
+        [0, 0, 3, -2],
+        [0, 0, 0, 2],
+    ]
+    assert random_upper(3, random.Random(2024), 2, Scope.UNIPOTENT) == [[1, 1, -1], [0, 1, 2], [0, 0, 1]]
+    assert all(type(x) is int for row in random_upper(5, random.Random(1), 3, Scope.BOREL) for x in row)
 
 
 def test_sample_borel_deterministic():

@@ -361,6 +361,14 @@ def test_repeated_rows_fail_the_linear_extension_check():
     assert PosetIndex(4, placements[::-1]).rank_rows == poset_index(4).rank_rows[::-1]
 
 
+def test_index_rejects_placements_of_another_board():
+    with pytest.raises(ValueError, match=r"^\(empty\) is a placement of the 3-board, not of the 4-board$"):
+        PosetIndex(4, enumerate_placements(3))
+    mixed = enumerate_placements(4)[:5] + [placement(5, [(5, 1)]), placement(3, [(3, 1)])]
+    with pytest.raises(ValueError, match=r"^\(5,1\) is a placement of the 5-board"):
+        PosetIndex(4, mixed)
+
+
 def test_position_missing_from_its_own_down_set_fails():
     # a table whose essential value undercuts its own column entry would
     # leave its own bit set for ever; the peel raises instead
