@@ -68,9 +68,12 @@ def as_fractions(mat: Sequence[Sequence[object]]) -> Matrix:
 def _scaled(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(scale·mat, scale) with scale the lcm of the entries' denominators.
 
-    Entries are ints or Fractions; the scaled matrix is all ints.
+    Entries are ints or Fractions; the scaled matrix is all ints.  At scale 1
+    the numerators are copied and nothing is multiplied.
     """
-    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    scale = math.lcm(*{x.denominator for row in mat for x in row})
+    if scale == 1:
+        return [[x.numerator for x in row] for row in mat], 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
 
 

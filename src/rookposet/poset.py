@@ -7,7 +7,8 @@ predecessor in the rank-matrix order.  The guards are not taken on faith:
 enumeration, from bit-packed down-sets of the rank-matrix order and a
 transitive reduction along a linear extension, and reports any discrepancy
 with a witness.  The down-sets come from the order engine (``_Order``), which
-compares at essential cells and also serves the Bruhat orders of the suites.
+compares at essential cells; ``_points_order`` builds every order, this one
+and the Bruhat orders of the suites, reading its tables as quadrant popcounts.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import add, and_, itemgetter
+from operator import and_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .board import Cell, RookPlacement, all_lower_cells, placement, to_json
@@ -33,10 +34,11 @@ if TYPE_CHECKING:
 
 #: hard ceiling for plain enumeration (21147 placements at n=9 is still cheap)
 ENUM_LIMIT = 9
-#: ceiling for the all-pairs index, which keeps no down-sets: at n=9 (21147
-#: placements, 126 487 cover edges) it holds 70 threshold masks, 0.2 MB, and
-#: per placement a tuple of its masks, 1.7 MB in all; numpy is loaded only
-#: for the dense views (``le``, ``covers``)
+#: ceiling for the all-pairs index, which keeps no down-sets and no rank
+#: tables: at n=9 (21147 placements, 126 487 cover edges) it holds 70
+#: threshold masks, 0.2 MB, per placement a tuple of its masks, 1.5 MB, and
+#: its key and position maps, 5.4 MB in all; numpy is loaded only for the
+#: dense views (``le``, ``covers``)
 INDEX_LIMIT = 9
 
 
@@ -460,43 +462,54 @@ class _Order:
         return found
 
 
+def _points_order(points: Sequence[Sequence[int]], band: int) -> _Order:
+    """The order of the point lists ``points`` at their positions, by their tables (see ``_essential``).
+
+    A list of m points is held as one int, bit x(m + 1) + y set for its point
+    y in row x + 1, so T(I, J) is its popcount in the quadrant of rows <= I,
+    columns >= J; a 0 (no point) lies in no quadrant.
+    """
+    width = max(map(len, points), default=0) + 1
+    packed = [sum(1 << x * width + y for x, y in enumerate(p)) for p in points]
+
+    def column(cell: tuple[int, int]) -> list[int]:
+        quadrant = ((1 << cell[0] * width) - 1) // ((1 << width) - 1) * ((1 << width) - (1 << cell[1]))
+        return [(a & quadrant).bit_count() for a in packed]
+
+    return _Order((_essential(p, band) for p in points), column)
+
+
 # ---------------------------------------------------------------------------
 # The brute-force oracle
 
 
 class PosetIndex:
-    """All placements of one board, their rank rows and their order.
+    """All placements of one board and their rank-matrix order.
 
-    ``rank_rows[k]`` is the flattened lower triangle of placement k's rank
-    matrix, built from its rooks; D <= E iff D's row is entrywise at most E's.
-    Sorted by their sums the rows form a linear extension, ``_by_position``,
-    in which ``_order`` holds the placements; lower covers are peeled from
-    it on request.  Placements are looked up by their packed key (``_key``).
-    The dense order and cover relations, 17 MB each at n=8, are numpy bool
-    matrices built on request and not kept; only they import numpy.
+    D <= E iff D's rank matrix is entrywise at most E's, so sorted by their
+    rank-matrix sums the placements form a linear extension, ``_by_position``,
+    in which ``_order`` holds them as the points of their rank matrices
+    (``_rank_points``); lower covers are peeled from it on request.
+    Placements are looked up by their packed key (``_key``).  The dense order
+    and cover relations, 17 MB each at n=8, are numpy bool matrices built on
+    request and not kept; only they import numpy.
     """
 
     def __init__(self, n: int, placements: list[RookPlacement]):
         stray = next((D for D in placements if D.n != n), None)
         if stray is not None:
             raise ValueError(f"{stray} is a placement of the {stray.n}-board, not of the {n}-board")
-        rank_rows = _rank_rows(n, placements)
-        # a < b entrywise with distinct rows makes the sum grow strictly
-        if len(set(rank_rows)) != len(rank_rows):
-            raise ValueError("rank-row sums are not a linear extension: a rank row repeats")
         self.n = n
         self.placements = placements
         self._ids = {_key(D): k for k, D in enumerate(placements)}
-        self.rank_rows = rank_rows
-        sums = [sum(row) for row in rank_rows]
+        # a < b entrywise with distinct placements makes the sum grow strictly
+        if len(self._ids) != len(placements):
+            raise ValueError("rank-matrix sums are not a linear extension: a placement repeats")
+        # rook (a, b) counts in the C(a - b + 1, 2) rank cells b <= j < i <= a
+        sums = [sum((a - b) * (a - b + 1) // 2 for a, b in D.rooks) for D in placements]
         self._by_position = sorted(range(len(placements)), key=sums.__getitem__)
         self._position = sorted(range(len(placements)), key=self._by_position.__getitem__)
-        rows = [rank_rows[k] for k in self._by_position]
-        # cell (I, J) of _rank_points is rank entry (n + 1 - I, n + 1 - J), at its row-major flat index
-        self._order = _Order(
-            (_essential(_rank_points(placements[k]), 1) for k in self._by_position),
-            lambda c: list(map(itemgetter((n - c[0]) * (n - c[0] - 1) // 2 + n - c[1]), rows)),
-        )
+        self._order = _points_order([_rank_points(placements[k]) for k in self._by_position], 1)
 
     @property
     def le(self) -> np.ndarray:
@@ -530,25 +543,6 @@ class PosetIndex:
 
     def lower_covers(self, D: RookPlacement) -> list[RookPlacement]:
         return [self.placements[t] for t in self.lower_cover_ids(self.index_of(D))]
-
-
-def _rank_rows(n: int, placements: Sequence[RookPlacement]) -> list[tuple[int, ...]]:
-    """``rank_matrix(D).flatten_lower()`` for each placement D of the n-board.
-
-    A rank entry counts rooks, so D's row is the row of D without its last
-    rook plus that rook's 0/1 row: rook (i, j) counts at the lower cell
-    (a, b) iff i >= a and j <= b.  Each prefix's row is built once.
-    """
-    cells = [Cell(a, b) for a in range(2, n + 1) for b in range(1, a)]
-    delta = {rook: tuple(int(rook.row >= a and rook.col <= b) for a, b in cells) for rook in cells}
-    row_of = {(): (0,) * len(cells)}
-
-    def row(rooks: tuple[Cell, ...]) -> tuple[int, ...]:
-        if rooks not in row_of:
-            row_of[rooks] = tuple(map(add, row(rooks[:-1]), delta[rooks[-1]]))
-        return row_of[rooks]
-
-    return [row(D.rooks) for D in placements]
 
 
 @lru_cache(maxsize=None)

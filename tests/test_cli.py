@@ -283,8 +283,8 @@ THM24_TARGET_JSON = {"n": 4, "rooks": [[3, 1], [4, 2]]}
 
 def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     # a support that is not a forest proves nothing about the ranks: thm24
-    # fails (exit 1) with the cycle as its witness, reported once; the leaf
-    # strip on the cyclic support then finds too small a matching
+    # fails (exit 1) with the cycle as its witness, reported once, and reports
+    # nothing read off the leaf-strip matching, which on a cycle is too small
 
     def ids(*edges):  # cell (i, j) has id i * 5 + j on the 4-board
         return [(a * 5 + b, c * 5 + d) for (a, b), (c, d) in edges]
@@ -309,27 +309,25 @@ def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
             "support": "unipotent",
             "cycle": [[[3, 4], [2, 1]], [[1, 2], [2, 1]], [[1, 2], [3, 2]], [[3, 4], [3, 2]]],
         },
-        {
-            "placement": THM24_TARGET_JSON,
-            "check": "borel-dimension",
-            "tangent": 3,
-            "expected": 4,
-            "length": 4,
-        },
-        {
-            "placement": THM24_TARGET_JSON,
-            "clauses": {
-                "isotropy": {"ok": True, "witness": None},
-                "codimension": {"ok": True, "witness": 5},
-                "maximality": {"ok": False, "witness": 1},
-                "subalgebra": {"ok": True, "witness": None},
-            },
-        },
-        {"placement": THM24_TARGET_JSON, "check": "unipotent-dimension", "tangent": 1, "expected": 2},
     ]
     assert run(["verify", "--suite", "thm24", "--n", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL (4 failures)" in out and '"cycle"' in out
+    assert "FAIL (1 failures)" in out and '"cycle"' in out
+    # the clauses that need no rank are still checked: M = {(3,1)} breaks two
+    # (see test_thm24_reports_failed_clauses), and only they are reported
+    real_mp = suites.mp_sets
+    fake = MPData((), frozenset({Cell(3, 1)}), frozenset())
+    monkeypatch.setattr(suites, "mp_sets", lambda D: fake if D == THM24_TARGET else real_mp(D))
+    failures = failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys)
+    assert [f.get("check") for f in failures] == ["forest", None]
+    assert failures[1] == {
+        "placement": THM24_TARGET_JSON,
+        "clauses": {
+            "isotropy": {"ok": False, "witness": [[2, 1], [3, 2]]},
+            "codimension": {"ok": True, "witness": 5},
+            "subalgebra": {"ok": False, "witness": [3, 2, 1]},
+        },
+    }
 
 
 def failure_list(argv, capsys):

@@ -240,6 +240,13 @@ def test_rank_profile_matches_corner_oracle_on_random_forms():
         form = random_lower_form(rng, n)
         profile = rank_profile(form)
         assert profile == corner_rank_profile(form)
+        if k % 4 == 0:  # the same form scaled to ints, as ints and as Fractions k/1
+            scale = math.lcm(*(x.denominator for row in form for x in row))
+            ints = [[int(x * scale) for x in row] for row in form]
+            for same in (ints, [[Fraction(x) for x in row] for row in ints]):
+                copy = [row[:] for row in same]
+                assert rank_profile(same) == corner_rank_profile(same) == profile
+                assert same == copy
         if n > 1:  # the largest corner, rows 2..n by columns 1..n-1
             full += profile[1][n - 2] == n - 1
             deficient += profile[1][n - 2] < n - 1

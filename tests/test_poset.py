@@ -93,9 +93,11 @@ def test_keys_are_distinct_and_decode_to_the_rooks(n):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_incremental_rank_rows_match_rank_matrix(n):
-    index = poset_index(n)
-    assert index.rank_rows == [rank_matrix(D).flatten_lower() for D in index.placements]
+def test_rank_sums_in_closed_form(n):
+    # the index sorts by rank-matrix sums taken from the rooks: rook (a, b)
+    # counts in the C(a - b + 1, 2) cells b <= j < i <= a
+    for D in enumerate_placements(n):
+        assert 2 * sum(rank_matrix(D).flatten_lower()) == sum((a - b) * (a - b + 1) for a, b in D.rooks), D
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -305,7 +307,8 @@ def test_index_relation_agrees_with_leq():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_index_matches_dense_oracles(n):
     index = poset_index(n)
-    le = broadcast_pairwise_leq(np.array(index.rank_rows).reshape(len(index.placements), -1))
+    rows = [rank_matrix(D).flatten_lower() for D in index.placements]
+    le = broadcast_pairwise_leq(np.array(rows).reshape(len(index.placements), -1))
     covers = matmul_covers(le)
     assert np.array_equal(index.le, le)
     assert np.array_equal(index.covers, covers)
@@ -351,14 +354,20 @@ def test_order_lower_covers_on_random_distinct_rows():
 
 
 def test_repeated_rows_fail_the_linear_extension_check():
-    # the rows come from the placements, so only a repeated placement repeats a row
-    placements = poset_index(4).placements
+    # a placement's rank matrix is determined by its rooks, so only a repeated
+    # placement repeats a row; it shows as a repeated key
+    index = poset_index(4)
+    placements = index.placements
     tampered = placements[:7] + placements[3:4] + placements[8:]
     permuted = placements + random.Random(7).sample(placements, len(placements))
     for bad in (tampered, permuted):
         with pytest.raises(ValueError, match="linear extension"):
             PosetIndex(4, bad)
-    assert PosetIndex(4, placements[::-1]).rank_rows == poset_index(4).rank_rows[::-1]
+    # the reversed list keeps the order: each cover, mapped back by id, is a cover
+    reverse = PosetIndex(4, placements[::-1])
+    last = len(placements) - 1
+    for d in range(len(placements)):
+        assert sorted(last - t for t in reverse.lower_cover_ids(last - d)) == index.lower_cover_ids(d)
 
 
 def test_index_rejects_placements_of_another_board():
@@ -384,7 +393,7 @@ def test_essential_down_sets_match_full_tables(n):
     # full rank rows and dominance tables of every pair
     index = poset_index(n)
     ranked = [index.placements[k] for k in index._by_position]
-    tables = {"rank": [index.rank_rows[k] for k in index._by_position]}
+    tables = {"rank": [rank_matrix(D).flatten_lower() for D in ranked]}
     orders = {"rank": index._order}
     for name, perm_of in [("sigma", kerov_involution), ("w", permutation_of)]:
         if name == "sigma" and n == 1:
