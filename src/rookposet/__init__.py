@@ -48,8 +48,6 @@ from .poset import (
     hasse_dot,
     maximal_element,
     poset_index,
-    raw_move,
-    removable_rooks,
     verify_covers,
 )
 from .suites import VerificationReport, run_suite

@@ -51,10 +51,6 @@ class WrongBoardSize(RookError):
     """The operation is only defined for a specific board size."""
 
 
-class UndefinedMove(RookError):
-    """The requested raw move is not structurally defined for this placement."""
-
-
 class NotIndexed(RookError):
     """The placement does not belong to the given poset index."""
 

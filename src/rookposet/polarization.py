@@ -126,55 +126,27 @@ def _dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
 # Polarization certification
 
 
-@dataclass(frozen=True)
-class ClauseResult:
-    name: str
-    ok: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class PolarizationReport:
-    clauses: tuple[ClauseResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.clauses)
-
-    def to_json(self) -> dict:
-        return {
-            c.name: {"ok": c.ok, "witness": _jsonable(c.witness)} for c in self.clauses
-        }
-
-
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return str(obj)
-
-
-def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy, rank: int) -> PolarizationReport:
+def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy: Edge | None, rank: int) -> dict:
     """The four polarization clauses for the mark cells M of an n-board placement.
 
-    Isotropy: the pairing vanishes on the span of the complement of M (the
-    witness is None).  Codimension: the complement misses exactly the |M|
-    cells of M, so M lies in the lower triangle; the witness is the size of
-    the complement.  Maximality: the pairing has rank exactly 2|M|, which
-    makes the isotropic subspace maximal.  Subalgebra: the complement is
-    closed under commutators.
+    Returns {name: {"ok": bool, "witness": JSON value}}, as the report prints
+    it.  Isotropy: the pairing vanishes on the span of the complement of M;
+    ``isotropy`` is None or two complement cells it joins, the witness.
+    Codimension: the complement misses exactly the |M| cells of M, so M lies
+    in the lower triangle; the witness is the size of the complement.
+    Maximality: the pairing has rank exactly 2|M|, which makes the isotropic
+    subspace maximal.  Subalgebra: the complement is closed under
+    commutators; the witness is a triple that breaks it, or None.
     """
     inside = sum(1 <= c.col < c.row <= n for c in m_cells)
     triple = _subalgebra_witness(m_cells)
-    return PolarizationReport(
-        (
-            ClauseResult("isotropy", isotropy is None, isotropy),
-            ClauseResult("codimension", inside == len(m_cells), n * (n - 1) // 2 - inside),
-            ClauseResult("maximality", rank == 2 * len(m_cells), rank),
-            ClauseResult("subalgebra", triple is None, triple),
-        )
-    )
+    edge = None if isotropy is None else [list(c) for c in isotropy]
+    return {
+        "isotropy": {"ok": edge is None, "witness": edge},
+        "codimension": {"ok": inside == len(m_cells), "witness": n * (n - 1) // 2 - inside},
+        "maximality": {"ok": rank == 2 * len(m_cells), "witness": rank},
+        "subalgebra": {"ok": triple is None, "witness": None if triple is None else list(triple)},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Enumeration of placements, covering moves, and the brute-force cover oracle.
 
 The five move families (remove, slide right, slide up, exchange, split) are
-generated with guards that make every produced placement an immediate
-predecessor in the rank-matrix order.  The guards are not taken on faith:
-``verify_covers`` recomputes all lower covers from scratch over the full
-enumeration, from bit-packed down-sets of the rank-matrix order and a
-transitive reduction along a linear extension, and reports any discrepancy
-with a witness.  The down-sets come from the order engine (``_Order``), which
-compares at essential cells; ``_points_order`` builds every order, this one
-and the Bruhat orders of the suites, reading its tables as quadrant popcounts.
+defined once, in ``_steps``, with guards that make every produced placement
+an immediate predecessor in the rank-matrix order.  A step tests only its
+added cells, and a cell that leaves the board or attacks a rook is reported
+by ``board.placement``, the one rule for a valid placement.  The guards are
+not taken on faith: ``verify_covers`` recomputes all lower covers from
+scratch over the full enumeration, from bit-packed down-sets of the
+rank-matrix order and a transitive reduction along a linear extension, and
+reports any discrepancy with a witness.  The down-sets come from the order
+engine (``_Order``), which compares at essential cells; ``_points_order``
+builds every order, this one and the Bruhat orders of the suites, reading
+its tables as quadrant popcounts.
 """
 from __future__ import annotations
 
@@ -20,14 +23,7 @@ from operator import and_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .board import Cell, RookPlacement, all_lower_cells, placement, to_json
-from .errors import (
-    AttackingRooks,
-    LimitExceeded,
-    NotIndexed,
-    OutOfBoard,
-    RookError,
-    UndefinedMove,
-)
+from .errors import LimitExceeded, NotIndexed, RookError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,32 +133,6 @@ def _dominated(rooks: Sequence[Cell]) -> list[list[Cell]]:
     return [[c for c in rooks[p + 1 :] if c.row < i] for p, (i, j) in enumerate(rooks)]
 
 
-def _removable(both: int, cell: Cell) -> bool:
-    """Whether every index strictly between the column and row of ``cell`` is doubly occupied."""
-    return _next_gap(both, cell.col) >= cell.row
-
-
-def _slide_targets(rows: int, cols: int, i: int, j: int) -> tuple[int | None, int | None]:
-    """Where rook (i, j) slides: the first free column and the last free row between j and i.
-
-    Either is None when no such index lies strictly between j and i.
-    """
-    right, up = _next_gap(cols, j), _prev_gap(rows, i)
-    return (right if right < i else None), (up if up > j else None)
-
-
-def removable_rooks(D: RookPlacement) -> tuple[frozenset[Cell], frozenset[Cell]]:
-    """Minimal rooks, and the subset whose removal is an immediate step down.
-
-    A minimal rook (i, j) is removable only when every index strictly between
-    j and i has both its row and its column occupied; a free row k yields the
-    strictly intermediate placement D - (i,j) + (k,j), a free column likewise.
-    """
-    rows, cols = _occupancy(D.rooks)
-    minimal = frozenset(c for c, below in zip(D.rooks, _dominated(D.rooks)) if not below)
-    return minimal, frozenset(c for c in minimal if _removable(rows & cols, c))
-
-
 def _key(D: RookPlacement) -> int:
     """D packed into one int: each rook (i, j) puts j in bits [w*i, w*i + w), w = n.bit_length().
 
@@ -180,12 +150,12 @@ def _moved_key(
     removed: tuple[Cell, ...],
     added: tuple[Cell, ...],
 ) -> int:
-    """The key of D without ``removed`` and with ``added``, validating only the added cells.
+    """The key of D without ``removed`` and with ``added``, testing only the added cells.
 
     ``rows``, ``cols`` and ``key`` are D's occupancy masks and key.  The rooks
     that stay come from a valid placement, so only an added cell can leave
-    the board or attack; it raises what ``placement`` would raise for the
-    remaining rooks followed by the added ones.
+    the board or attack; when one does, ``placement`` is given the rooks that
+    stay followed by the added ones and raises its own error.
     """
     n = D.n
     w = n.bit_length()
@@ -193,27 +163,13 @@ def _moved_key(
         rows ^= 1 << i
         cols ^= 1 << j
         key ^= j << w * i
-    for k, cell in enumerate(added):
-        i, j = cell
-        if not 1 <= j < i <= n:
-            raise OutOfBoard(cell, n)
-        if (rows >> i | cols >> j) & 1:
-            raise _attacked(D, removed, added[:k], cell)
+    for i, j in added:
+        if not 1 <= j < i <= n or (rows >> i | cols >> j) & 1:
+            placement(n, [c for c in D.rooks if c not in removed] + list(added))
         rows |= 1 << i
         cols |= 1 << j
         key |= j << w * i
     return key
-
-
-def _attacked(
-    D: RookPlacement, removed: tuple[Cell, ...], earlier: tuple[Cell, ...], cell: Cell
-) -> AttackingRooks:
-    """What ``placement`` raises for ``cell`` after the rooks that stay and ``earlier`` added cells."""
-    before = [c for c in D.rooks if c not in removed] + list(earlier)
-    same_row = [c for c in before if c.row == cell.row]
-    if same_row:
-        return AttackingRooks(same_row[0], cell, "row")
-    return AttackingRooks(next(c for c in before if c.col == cell.col), cell, "column")
 
 
 Step = tuple[MoveKind, tuple[Cell, ...], tuple[Cell, ...], int]  # kind, removed, added, key
@@ -238,18 +194,22 @@ def _steps(D: RookPlacement) -> Iterator[Step]:
     def step(kind: MoveKind, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> Step:
         return kind, removed, added, _moved_key(D, rows, cols, key, removed, added)
 
+    # a minimal rook (i, j) is removable when every index strictly between j
+    # and i is doubly occupied: a free row k would leave the strictly
+    # intermediate D - (i, j) + (k, j), a free column likewise
     minimal = [c for c, below in zip(rooks, dominated) if not below]
-    for cell in sorted(c for c in minimal if _removable(both, c)):
+    for cell in sorted(c for c in minimal if _next_gap(both, c.col) >= c.row):
         yield step(MoveKind.REMOVE, (cell,), ())
 
     for cell, below in zip(rooks, dominated):
         i, j = cell
-        right, up = _slide_targets(rows, cols, i, j)
-        # the rooks below (i, j) stay below the slid rook, and no row in
-        # (j, right], no column in [up, i), is free
-        if right is not None and _next_gap(rows, j) > right and all(c.col >= right for c in below):
+        # (i, j) slides to the first free column and to the last free row
+        # strictly between j and i; the rooks below (i, j) stay below the
+        # slid rook, and no row in (j, right], no column in [up, i), is free
+        right, up = _next_gap(cols, j), _prev_gap(rows, i)
+        if right < i and _next_gap(rows, j) > right and all(c.col >= right for c in below):
             yield step(MoveKind.SLIDE_RIGHT, (cell,), (Cell(i, right),))
-        if up is not None and _prev_gap(cols, i) < up and all(c.row <= up for c in below):
+        if up > j and _prev_gap(cols, i) < up and all(c.row <= up for c in below):
             yield step(MoveKind.SLIDE_UP, (cell,), (Cell(up, j),))
 
     for p, cell in enumerate(rooks):
@@ -308,54 +268,6 @@ def cover_moves(D: RookPlacement) -> list[CoverMove]:
             rest.sort(key=lambda c: c.col)
             found[key] = CoverMove(kind, removed, added, RookPlacement(D.n, tuple(rest)))
     return list(found.values())
-
-
-def raw_move(
-    D: RookPlacement, kind: MoveKind, rook: Sequence[int], aux: Sequence[int] | None = None
-) -> RookPlacement:
-    """Literal set replacement of a single move, with no cover guards.
-
-    Only structural preconditions apply: the target must exist and the result
-    must be a valid placement.  Raises UndefinedMove otherwise.
-    """
-    rook = Cell(*rook)
-    if rook not in D.cells:
-        raise UndefinedMove(f"{rook} is not a rook of {D}")
-    i, j = rook
-    rest = [c for c in D.rooks if c != rook]
-    right, up = _slide_targets(*_occupancy(D.rooks), i, j)
-    try:
-        if kind is MoveKind.REMOVE:
-            return placement(D.n, rest)
-        if kind is MoveKind.SLIDE_RIGHT:
-            if right is None:
-                raise UndefinedMove(f"no free column strictly between {j} and {i}")
-            return placement(D.n, rest + [Cell(i, right)])
-        if kind is MoveKind.SLIDE_UP:
-            if up is None:
-                raise UndefinedMove(f"no free row strictly between {j} and {i}")
-            return placement(D.n, rest + [Cell(up, j)])
-        if kind is MoveKind.EXCHANGE:
-            if aux is None:
-                raise UndefinedMove("exchange needs the second rook")
-            other = Cell(*aux)
-            if other not in D.cells or other == rook:
-                raise UndefinedMove(f"{other} is not another rook of {D}")
-            a, b = other
-            rest2 = [c for c in rest if c != other]
-            return placement(D.n, rest2 + [Cell(i, b), Cell(a, j)])
-        if kind is MoveKind.SPLIT:
-            if aux is None:
-                raise UndefinedMove("split needs the pivot pair")
-            a, b = aux
-            if not j < a <= b < i:
-                raise UndefinedMove(f"split pivot {(a, b)} must sit strictly inside ({j}, {i})")
-            return placement(D.n, rest + [Cell(i, b), Cell(a, j)])
-    except UndefinedMove:
-        raise
-    except Exception as exc:  # invalid resulting placement
-        raise UndefinedMove(f"move produces an invalid placement: {exc}") from exc
-    raise UndefinedMove(f"unknown move kind {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
             failures.append({"placement": to_json(D), "bound_violation": str(exc)})
             continue
         cert = _support_certificate(D, m_cells)
-        clauses = polarization_clauses(n, m_cells, cert.isotropy, cert.matching).to_json()
+        clauses = polarization_clauses(n, m_cells, cert.isotropy, cert.matching)
         forest = cert.cycle is None
         if not forest:
             failures.append(

@@ -174,20 +174,16 @@ def pairing_rows(form, cells):
 def check_polarization(D, scalars=None):
     """The polarization clauses with the pairing evaluated densely at the form.
 
-    Oracle for the support certificate: the first nonzero pairing value on two
-    complement cells is the isotropy witness, and the rank is taken by Bareiss.
+    Oracle for the support certificate: the first two complement cells with a
+    nonzero pairing value are the isotropy witness, and the rank is taken by
+    Bareiss.
     """
     cells = all_lower_cells(D.n)
     m_cells = mp_sets(D).m_cells
     comp = sorted(frozenset(cells) - m_cells)
     form = placement_form(D, scalars)
     isotropy = next(
-        (
-            (x, y, v)
-            for a, x in enumerate(comp)
-            for y in comp[a + 1 :]
-            if (v := pairing_entry(form, x, y)) != 0
-        ),
+        ((x, y) for a, x in enumerate(comp) for y in comp[a + 1 :] if pairing_entry(form, x, y) != 0),
         None,
     )
     rank = integer_rank(pairing_rows(_scaled(form)[0], cells))

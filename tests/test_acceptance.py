@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from rookposet import (
     Cell,
-    MoveKind,
     Scope,
     bell_number,
     chains,
@@ -25,7 +24,6 @@ from rookposet import (
     placement_from_rank_matrix,
     poset_index,
     rank_matrix,
-    raw_move,
     run_suite,
     squared_corner,
     tangent_dimension,
@@ -192,19 +190,18 @@ def test_criterion_9_guard_regression(golden8):
     produced = {m.result for m in cover_moves(golden8)}
     assert produced == covers
 
-    slid_up = raw_move(golden8, MoveKind.SLIDE_UP, (6, 2))
-    assert slid_up == placement(8, [(3, 1), (4, 2), (7, 3), (5, 4), (8, 6)])
-    slid_right = raw_move(golden8, MoveKind.SLIDE_RIGHT, (7, 3))
-    assert slid_right == placement(8, [(3, 1), (6, 2), (7, 5), (5, 4), (8, 6)])
+    # the bare slides: (6,2) up to the last free row 4, (7,3) right to the first free column 5
+    slid_up = placement(8, [(3, 1), (4, 2), (7, 3), (5, 4), (8, 6)])
+    slid_right = placement(8, [(3, 1), (6, 2), (7, 5), (5, 4), (8, 6)])
 
     for moved in (slid_up, slid_right):
         assert leq(moved, golden8) and moved != golden8
         assert moved not in covers
         assert moved not in produced
 
-    # the intermediate elements are the exchanges through (5,4)
-    between_up = raw_move(golden8, MoveKind.EXCHANGE, (5, 4), (6, 2))
-    between_right = raw_move(golden8, MoveKind.EXCHANGE, (5, 4), (7, 3))
+    # the intermediate elements are the exchanges of (5,4) with (6,2) and with (7,3)
+    between_up = placement(8, [(3, 1), (5, 2), (7, 3), (6, 4), (8, 6)])
+    between_right = placement(8, [(3, 1), (6, 2), (5, 3), (7, 4), (8, 6)])
     assert leq(slid_up, between_up) and leq(between_up, golden8)
     assert between_up != slid_up and between_up != golden8
     assert leq(slid_right, between_right) and leq(between_right, golden8)

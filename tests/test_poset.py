@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import permutations as iterperms
@@ -12,6 +13,7 @@ from rookposet import (
     MoveKind,
     VerificationReport,
     bell_number,
+    cell_lt,
     cover_moves,
     empty_placement,
     enumerate_placements,
@@ -24,14 +26,12 @@ from rookposet import (
     placement,
     poset_index,
     rank_matrix,
-    raw_move,
-    removable_rooks,
     run_suite,
     verify_covers,
 )
 from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
-from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard, UndefinedMove
+from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard
 from rookposet.permutations import bruhat_leq, dominance_table
 from rookposet.poset import (
     PosetIndex,
@@ -104,22 +104,48 @@ def test_rank_sums_in_closed_form(n):
 
 
 def test_removable_golden(golden8):
-    minimal, removable = removable_rooks(golden8)
-    assert minimal == {Cell(3, 1), Cell(5, 4), Cell(8, 6)}
+    minimal = [c for c in golden8.rooks if not any(cell_lt(other, c) for other in golden8.rooks)]
+    assert minimal == [Cell(3, 1), Cell(5, 4), Cell(8, 6)]
     # Row 2 is free, so dropping (3,1) is beaten by sliding it up; column 7 is
     # free, so dropping (8,6) is beaten by sliding it right.  Only (5,4) has
     # every strictly intermediate row and column occupied.
-    assert removable == {Cell(5, 4)}
+    removes = [m for m in cover_moves(golden8) if m.kind is MoveKind.REMOVE]
+    assert [m.removed for m in removes] == [(Cell(5, 4),)]
+    covers = poset_index(8).lower_covers(golden8)
+    for cell in (Cell(3, 1), Cell(8, 6)):
+        dropped = placement(8, [c for c in golden8.rooks if c != cell])
+        assert leq(dropped, golden8) and dropped not in covers
+
+
+def _minimal_and_removed(D):
+    minimal = {c for c in D.rooks if not any(cell_lt(other, c) for other in D.rooks)}
+    removed = {m.removed[0] for m in cover_moves(D) if m.kind is MoveKind.REMOVE}
+    return minimal, removed
 
 
 def test_removable_spread_rook():
-    minimal, removable = removable_rooks(placement(4, [(4, 1)]))
+    # rows 1..3 and columns 2..4 are free, so the lone rook slides instead
+    minimal, removed = _minimal_and_removed(placement(4, [(4, 1)]))
     assert minimal == {Cell(4, 1)}
-    assert removable == frozenset()
+    assert removed == set()
 
 
 def test_removable_empty():
-    assert removable_rooks(empty_placement(3)) == (frozenset(), frozenset())
+    assert _minimal_and_removed(empty_placement(3)) == (set(), set())
+
+
+def test_remove_moves_are_the_covers_with_one_rook_fewer():
+    # against the index: the REMOVE results are exactly the covers of D with
+    # one rook fewer, and no rook lies strictly South-West of a removed one
+    for n in range(1, 7):
+        index = poset_index(n)
+        for D in index.placements:
+            removes = [m for m in cover_moves(D) if m.kind is MoveKind.REMOVE]
+            fewer = [E for E in index.lower_covers(D) if len(E.rooks) == len(D.rooks) - 1]
+            assert sorted(m.result.rooks for m in removes) == sorted(E.rooks for E in fewer), D
+            for move in removes:
+                [cell] = move.removed
+                assert not any(cell_lt(c, cell) for c in D.rooks), D
 
 
 # --- cover moves ----------------------------------------------------------------
@@ -233,6 +259,16 @@ def test_move_soundness_exhaustive():
                 assert len(move.result.rooks) - len(D.rooks) == deltas[move.kind]
 
 
+def test_cover_moves_order_is_pinned():
+    # the moves, tags, cells and their order over every placement to n = 7,
+    # in enumeration order: the covers output and every report depend on them
+    digest = hashlib.md5()
+    for n in range(1, 8):
+        for D in enumerate_placements(n):
+            digest.update(json.dumps([m.to_json() for m in cover_moves(D)], sort_keys=True).encode())
+    assert digest.hexdigest() == "1047ad0cce16fe7fb1ea5e492a87f99f"
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(placements(max_n=30))
 def test_cover_moves_beyond_enumeration(D):
@@ -242,34 +278,6 @@ def test_cover_moves_beyond_enumeration(D):
     assert [_key(m.result) for m in moves] == list(dict.fromkeys(step[3] for step in _steps(D)))
     for move in moves:
         assert move.result != D and leq(move.result, D)
-
-
-# --- raw moves -------------------------------------------------------------------
-
-
-def test_raw_moves_golden(golden8):
-    up = raw_move(golden8, MoveKind.SLIDE_UP, (6, 2))
-    assert up == placement(8, [(3, 1), (4, 2), (7, 3), (5, 4), (8, 6)])
-    right = raw_move(golden8, MoveKind.SLIDE_RIGHT, (7, 3))
-    assert right == placement(8, [(3, 1), (6, 2), (7, 5), (5, 4), (8, 6)])
-
-
-def test_raw_move_simple_slide():
-    assert raw_move(placement(3, [(3, 1)]), MoveKind.SLIDE_RIGHT, (3, 1)) == placement(
-        3, [(3, 2)]
-    )
-
-
-def test_raw_move_undefined():
-    D = placement(3, [(3, 1)])
-    with pytest.raises(UndefinedMove):
-        raw_move(D, MoveKind.SLIDE_RIGHT, (2, 1))  # not a rook
-    with pytest.raises(UndefinedMove):
-        raw_move(placement(2, [(2, 1)]), MoveKind.SLIDE_RIGHT, (2, 1))  # no free column
-    with pytest.raises(UndefinedMove):
-        raw_move(D, MoveKind.EXCHANGE, (3, 1))  # missing partner
-    with pytest.raises(UndefinedMove):
-        raw_move(D, MoveKind.SPLIT, (3, 1), (1, 2))  # pivot outside (j, i)
 
 
 # --- the brute-force oracle ------------------------------------------------------
@@ -505,9 +513,10 @@ def test_unremovable_minimal_rooks_are_not_covers():
     for n in range(2, 6):
         index = poset_index(n)
         for D in index.placements:
-            minimal, removable = removable_rooks(D)
+            minimal, removed = _minimal_and_removed(D)
+            assert removed <= minimal
             covers = index.lower_covers(D)
-            for cell in minimal - removable:
+            for cell in minimal - removed:
                 dropped = placement(n, [c for c in D.rooks if c != cell])
                 assert leq(dropped, D) and dropped != D
                 assert dropped not in covers
