@@ -5,39 +5,18 @@ from .board import (
     ChainDecomposition,
     RankMatrix,
     RookPlacement,
-    cell_leq,
-    cell_lt,
     chains,
-    diagonal_normalizer,
-    empty_placement,
     from_json,
-    involution_placement,
     kerov_involution,
-    leq,
     permutation_of,
     placement,
     placement_from_rank_matrix,
     rank_matrix,
     to_json,
 )
-from .exactlin import (
-    Scope,
-    coadjoint,
-    placement_form,
-    rank_profile,
-    squared_corner,
-    tangent_dimension,
-)
-from .permutations import bruhat_leq, inversions
-from .polarization import (
-    MPData,
-    OrbitDimensions,
-    dimensions,
-    mp_sets,
-    polarization_complement,
-    subalgebra_witness,
-    support_certificate,
-)
+from .exactlin import rank_profile
+from .permutations import inversions
+from .polarization import MPData, OrbitDimensions, dimensions, mp_sets
 from .poset import (
     CoverMove,
     MoveKind,

@@ -7,7 +7,6 @@ everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import permutations as perms
@@ -20,15 +19,6 @@ class Cell(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.row},{self.col})"
-
-
-def cell_leq(a: Cell, b: Cell) -> bool:
-    """South-West dominance: a <= b iff a.row <= b.row and a.col >= b.col."""
-    return a.row <= b.row and a.col >= b.col
-
-
-def cell_lt(a: Cell, b: Cell) -> bool:
-    return a != b and cell_leq(a, b)
 
 
 def all_lower_cells(n: int) -> list[Cell]:
@@ -46,14 +36,6 @@ class RookPlacement:
     @property
     def rows(self) -> frozenset[int]:
         return frozenset(c.row for c in self.rooks)
-
-    @property
-    def cols(self) -> frozenset[int]:
-        return frozenset(c.col for c in self.rooks)
-
-    @property
-    def cells(self) -> frozenset[Cell]:
-        return frozenset(self.rooks)
 
     def __str__(self) -> str:
         return "".join(str(c) for c in self.rooks) or "(empty)"
@@ -92,10 +74,6 @@ def placement(n: int, cells: Iterable[Sequence[int]]) -> RookPlacement:
     return RookPlacement(n, tuple(rooks))
 
 
-def empty_placement(n: int) -> RookPlacement:
-    return placement(n, [])
-
-
 # ---------------------------------------------------------------------------
 # Rank matrices and the partial order
 
@@ -107,19 +85,12 @@ class RankMatrix:
     n: int
     entries: tuple[tuple[int, ...], ...]
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
-
     def dominated_by(self, other: "RankMatrix") -> bool:
         if self.n != other.n:
             raise SizeMismatch(f"board sizes differ: {self.n} vs {other.n}")
         return all(
             a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
         )
-
-    def flatten_lower(self) -> tuple[int, ...]:
-        """Strict lower-triangle entries in row-major order."""
-        return tuple(self.entries[i][j] for i in range(self.n) for j in range(i))
 
 
 def rank_matrix(D: RookPlacement) -> RankMatrix:
@@ -138,11 +109,6 @@ def rank_matrix(D: RookPlacement) -> RankMatrix:
     return RankMatrix(n, tuple(tuple(r) for r in entries))
 
 
-def leq(D: RookPlacement, other: RookPlacement) -> bool:
-    """Partial order: D <= other iff the rank matrices compare entrywise."""
-    return rank_matrix(D).dominated_by(rank_matrix(other))
-
-
 def placement_from_rank_matrix(R: RankMatrix) -> RookPlacement:
     """Reconstruct the placement by quadrant inclusion-exclusion.
 
@@ -150,17 +116,12 @@ def placement_from_rank_matrix(R: RankMatrix) -> RookPlacement:
     R(i,j) - R(i+1,j) - R(i,j-1) + R(i+1,j-1) == 1 (out-of-range terms 0).
     """
     n = R.n
-
-    def at(i: int, j: int) -> int:
-        if i > n or j < 1:
-            return 0
-        return R.entry(i, j)
-
+    padded = [(0, *row) for row in R.entries] + [(0,) * (n + 1)]  # column 0 and row n + 1 read 0
     cells = [
         (i, j)
-        for i in range(2, n + 1)
+        for i, (here, below) in enumerate(zip(padded[1:], padded[2:]), start=2)
         for j in range(1, i)
-        if at(i, j) - at(i + 1, j) - at(i, j - 1) + at(i + 1, j - 1) == 1
+        if here[j] - below[j] - here[j - 1] + below[j - 1] == 1
     ]
     return placement(n, cells)
 
@@ -212,63 +173,6 @@ def kerov_involution(D: RookPlacement) -> perms.Perm:
         a, b = 2 * i - 2, 2 * j - 1
         w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
     return tuple(w)
-
-
-def involution_placement(sigma: Sequence[int]) -> RookPlacement:
-    """The placement on the m-board with one rook per 2-cycle of sigma."""
-    cycles = perms.two_cycles(tuple(sigma))  # raises NotInvolution
-    return placement(len(sigma), cycles)
-
-
-# ---------------------------------------------------------------------------
-# Scalar assignments and the normalizing diagonal
-
-
-ScalarAssignment = Mapping[Cell, Fraction]
-
-
-def normalize_scalars(
-    D: RookPlacement, scalars: Mapping[Sequence[int], object] | None
-) -> dict[Cell, Fraction]:
-    """Coerce to {Cell: Fraction}, defaulting to all ones; values must be nonzero.
-
-    Keys must be (row, col) tuples of ``int`` and values ``int`` or
-    ``Fraction`` (not bool or float, whose binary value is rarely the one
-    meant); anything else raises ValueError.
-    """
-    if scalars is None:
-        return {c: Fraction(1) for c in D.rooks}
-    out: dict[Cell, Fraction] = {}
-    for key, value in scalars.items():
-        if not (isinstance(key, tuple) and len(key) == 2 and all(type(x) is int for x in key)):
-            raise ValueError(f"scalar keys must be (row, col) pairs of integers, got {key!r}")
-        if type(value) is not int and not isinstance(value, Fraction):
-            raise ValueError(f"scalar values must be integers or Fractions, got {value!r}")
-        out[Cell(*key)] = Fraction(value)
-    if set(out) != set(D.rooks):
-        raise ValueError("scalar assignment domain must equal the rook set")
-    bad = [c for c, v in out.items() if v == 0]
-    if bad:
-        raise ValueError(f"scalar assignment must be nonzero, got 0 at {bad[0]}")
-    return out
-
-
-def diagonal_normalizer(
-    D: RookPlacement, scalars: Mapping[Sequence[int], object]
-) -> tuple[Fraction, ...]:
-    """Diagonal (t_1, ..., t_n) whose coadjoint action rescales every rook to 1.
-
-    Along each chain a_1 < ... < a_b the entry at a_l is the inverse product
-    of the scalars on the chain's first l-1 links; everything else is 1.
-    """
-    xi = normalize_scalars(D, scalars)
-    t = [Fraction(1)] * D.n
-    for chain in chains(D).chains:
-        acc = Fraction(1)
-        for prev, cur in zip(chain, chain[1:]):
-            acc = acc / xi[Cell(cur, prev)]
-            t[cur - 1] = acc
-    return tuple(t)
 
 
 # ---------------------------------------------------------------------------

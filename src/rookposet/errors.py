@@ -31,10 +31,6 @@ class BoardTooSmall(RookError):
     """The operation needs a board of size at least 2."""
 
 
-class NotInvolution(RookError):
-    """The permutation is not an involution."""
-
-
 class BoundViolation(RookError):
     """A computed dimension contradicts the proven inequality chain."""
 
@@ -45,10 +41,6 @@ class NotInvertible(RookError):
 
 class NotUpperTriangular(RookError):
     """The matrix has a nonzero entry below the diagonal."""
-
-
-class WrongBoardSize(RookError):
-    """The operation is only defined for a specific board size."""
 
 
 class NotIndexed(RookError):

@@ -1,21 +1,20 @@
-"""Exact matrix engine: forms, coadjoint action, ranks, dimensions.
+"""Exact matrix engine: the coadjoint action and the South-West rank profile.
 
-Forms are plain lists of lists of Fraction; ``random_upper`` samples group
-elements as lists of ints, and ``coadjoint`` takes ints or Fractions.  Linear
-forms are strictly lower-triangular matrices paired with root cells via the
+Forms are strictly lower-triangular matrices paired with root cells via the
 trace form, so the (i, j) entry of a form is its value on the elementary
-matrix e_{j,i}.
+matrix e_{j,i}; ``rank_profile`` takes them as lists of lists of ints or
+Fractions.  ``random_upper`` samples group elements as lists of ints.
 
 Only integers flow through the hot paths.  Every rank computed here, corner
 ranks included, is unchanged by a nonzero scalar, so a rational matrix is
-first scaled to integers by the lcm of its denominators (``_scaled``) and then
-eliminated fraction-free (Bareiss).  The coadjoint action is B·L·adj(B) on
-integer scalings, with the adjugate det(B)·B^{-1} from exact integer back
-substitution, summed as one sparse rank-one term per nonzero entry of the form
-(``_integer_action``); ``coadjoint`` divides once at the end, and the
-``thm15`` suite reads the corner ranks of the integer result directly.  The
-South-West rank profile comes from a single bottom-up elimination whose pivots
-are counted per corner.  No rounding happens anywhere.
+first scaled to integers by the lcm of its denominators (``_scaled``).  The
+coadjoint action is B·L·adj(B) on integer scalings, with the adjugate
+det(B)·B^{-1} from exact integer back substitution, summed as one sparse
+rank-one term per nonzero entry of the form (``_integer_action``); the
+``thm15`` suite reads the corner ranks of that integer result directly,
+without dividing.  The South-West rank profile comes from a single bottom-up
+elimination whose pivots are counted per corner.  No rounding happens
+anywhere.
 
 This module owns matrices and their ranks only.  The mark cells, the orbit
 dimension formulas and the polarization clauses belong to ``polarization``,
@@ -25,44 +24,13 @@ from __future__ import annotations
 
 import math
 import random
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .board import Cell, RookPlacement, all_lower_cells, normalize_scalars
-from .errors import NotInvertible, NotUpperTriangular, WrongBoardSize
+from .board import Cell, RookPlacement
+from .errors import NotInvertible, NotUpperTriangular
 
 Matrix = list[list[Fraction]]
-
-
-class Scope(Enum):
-    """Which triangular group acts: strictly upper (unipotent) or with diagonal."""
-
-    UNIPOTENT = "unipotent"
-    BOREL = "borel"
-
-
-# ---------------------------------------------------------------------------
-# Basic matrix helpers
-
-
-def zeros(n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def identity(n: int) -> Matrix:
-    return diagonal([1] * n)
-
-
-def diagonal(values: Sequence[object]) -> Matrix:
-    mat = zeros(len(values))
-    for i, v in enumerate(values):
-        mat[i][i] = Fraction(v)
-    return mat
-
-
-def as_fractions(mat: Sequence[Sequence[object]]) -> Matrix:
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
 
 
 def _scaled(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -111,50 +79,7 @@ def _check_form(form: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free rank
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, nrows) if m[r][c]), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        p = m[pr][c]
-        for r in range(pr + 1, nrows):
-            f = m[r][c]
-            row_r = m[r]
-            row_p = m[pr]
-            for k in range(c + 1, ncols):
-                row_r[k] = (p * row_r[k] - f * row_p[k]) // prev
-            row_r[c] = 0
-        prev = p
-        pr += 1
-        rank += 1
-        if pr == nrows:
-            break
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# Forms and the coadjoint action
-
-
-def placement_form(D: RookPlacement, scalars=None) -> Matrix:
-    """The strictly lower-triangular form with the given value at each rook."""
-    xi = normalize_scalars(D, scalars)
-    form = zeros(D.n)
-    for cell, value in xi.items():
-        form[cell.row - 1][cell.col - 1] = value
-    return form
+# The coadjoint action and the rank profile
 
 
 def _integer_action(
@@ -188,23 +113,6 @@ def _integer_action(
                 for y in range(c, x):
                     row[y] += f * adj_c[y]
     return out, det
-
-
-def coadjoint(b: Sequence[Sequence[object]], form: Matrix) -> Matrix:
-    """b.form = (b form b^{-1}) restricted to the strict lower triangle.
-
-    Computed in integers: with B = c·b and L = s·form integer scalings,
-    B·L·adj(B) = s·det(B)·(b form b^{-1}) (``_integer_action``), divided
-    once at the end.
-    """
-    n = _check_form(form)
-    big_b, _ = _scaled(as_fractions(b))
-    big_form, scale = _scaled(form)
-    entries = [(r, c, v) for r, row in enumerate(big_form) for c, v in enumerate(row[:r]) if v]
-    lower, det = _integer_action(big_b, entries, n)
-    den = scale * det
-    zero = Fraction(0)
-    return [[Fraction(x, den) if x else zero for x in row] for row in lower]
 
 
 def rank_profile(form: Matrix) -> list[list[int]]:
@@ -253,49 +161,17 @@ def rank_profile(form: Matrix) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Orbit dimensions from the infinitesimal action
-
-
-def _bracket_row(form: Sequence[Sequence[int]], a: int, b: int, cells: Sequence[Cell]) -> list[int]:
-    """Vectorized lower part of e_{a,b}·form - form·e_{a,b} (1-based a <= b)."""
-    row = []
-    for r, s in cells:
-        v = 0
-        if r == a:
-            v += form[b - 1][s - 1]
-        if s == b:
-            v -= form[r - 1][a - 1]
-        row.append(v)
-    return row
-
-
-def tangent_dimension(form: Matrix, scope: Scope) -> int:
-    """Dimension of the orbit through the form under the chosen group.
-
-    Equals the rank of the family (x·form - form·x) over the elementary
-    generators x of the acting Lie algebra, taken on the integer-scaled form.
-    """
-    n = _check_form(form)
-    int_form, _ = _scaled(form)
-    cells = all_lower_cells(n)
-    gens = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    if scope is Scope.BOREL:
-        gens += [(a, a) for a in range(1, n + 1)]
-    return integer_rank([_bracket_row(int_form, a, b, cells) for a, b in gens])
-
-
-# ---------------------------------------------------------------------------
 # Deterministic sampling
 
 
-def random_upper(n: int, rng: random.Random, bound: int, scope: Scope) -> list[list[int]]:
-    """Invertible upper-triangular integer sample: [-bound, bound] above a diagonal of 1 or [1, bound]."""
+def random_upper(n: int, rng: random.Random, bound: int) -> list[list[int]]:
+    """Invertible upper-triangular integer sample: [-bound, bound] above a diagonal in [1, bound]."""
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             mat[i][j] = rng.randint(-bound, bound)
     for i in range(n):
-        mat[i][i] = 1 if scope is Scope.UNIPOTENT else rng.randint(1, bound)
+        mat[i][i] = rng.randint(1, bound)
     return mat
 
 
@@ -308,19 +184,3 @@ def random_scalars(D: RookPlacement, rng: random.Random, bound: int = 3) -> dict
         sign = rng.choice((1, -1))
         out[cell] = Fraction(sign * num, den)
     return out
-
-
-# ---------------------------------------------------------------------------
-# The quadratic from the 4-board discussion
-
-
-def squared_corner(form: Matrix) -> Fraction:
-    """Entry (4,1) of the matrix square of a 4x4 form.
-
-    Expands to form[4,2]*form[2,1] + form[4,3]*form[3,1]; vanishes identically
-    on some orbits, which certifies non-membership for forms where it does not.
-    """
-    n = _check_form(form)
-    if n != 4:
-        raise WrongBoardSize(f"defined only on the 4-board, got n={n}")
-    return form[3][1] * form[1][0] + form[3][2] * form[2][0]

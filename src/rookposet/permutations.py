@@ -1,4 +1,4 @@
-"""One-line permutations of {1, ..., m} and the Bruhat--Chevalley order.
+"""One-line permutations of {1, ..., m} and their Coxeter length.
 
 A permutation w is stored as the tuple (w(1), ..., w(m)), 1-based throughout.
 """
@@ -6,64 +6,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import NotInvolution, SizeMismatch
-
 Perm = tuple[int, ...]
-
-
-def is_permutation(w: Sequence[int]) -> bool:
-    """Check that w is a bijection of {1, ..., m}.
-
-    >>> is_permutation((2, 1, 3)), is_permutation((2, 2, 3)), is_permutation(())
-    (True, False, True)
-    """
-    return sorted(w) == list(range(1, len(w) + 1))
-
-
-def identity(m: int) -> Perm:
-    return tuple(range(1, m + 1))
-
-
-def inverse(w: Sequence[int]) -> Perm:
-    """
-    >>> inverse((3, 1, 2))
-    (2, 3, 1)
-    """
-    inv = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
-def compose(f: Sequence[int], g: Sequence[int]) -> Perm:
-    """Compose (f, g) -> f∘g, applying g first.
-
-    >>> compose((2, 1, 3), (1, 3, 2))
-    (2, 3, 1)
-    """
-    if len(f) != len(g):
-        raise SizeMismatch(f"cannot compose permutations of sizes {len(f)} and {len(g)}")
-    return tuple(f[x - 1] for x in g)
-
-
-def transposition(m: int, a: int, b: int) -> Perm:
-    """The transposition swapping a and b inside S_m."""
-    w = list(range(1, m + 1))
-    w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-    return tuple(w)
-
-
-def product_of_transpositions(m: int, pairs: Sequence[tuple[int, int]]) -> Perm:
-    """Product t_1 t_2 ... t_s composed right to left (t_s applied first).
-
-    >>> product_of_transpositions(3, [(1, 2), (2, 3)])
-    (2, 3, 1)
-    """
-    # w = t_1 ∘ (t_2 ∘ (... ∘ t_s)); folding left keeps later factors innermost.
-    w = identity(m)
-    for a, b in pairs:
-        w = compose(w, transposition(m, a, b))
-    return w
 
 
 def inversions(w: Sequence[int]) -> int:
@@ -74,48 +17,3 @@ def inversions(w: Sequence[int]) -> int:
     """
     m = len(w)
     return sum(1 for x in range(m) for y in range(x + 1, m) if w[x] > w[y])
-
-
-def is_involution(w: Sequence[int]) -> bool:
-    return is_permutation(w) and all(w[w[x - 1] - 1] == x for x in range(1, len(w) + 1))
-
-
-def two_cycles(w: Sequence[int]) -> list[tuple[int, int]]:
-    """The 2-cycles of an involution as (larger, smaller) pairs.
-
-    >>> two_cycles((2, 1, 3, 5, 4))
-    [(2, 1), (5, 4)]
-    """
-    if not is_involution(w):
-        raise NotInvolution(f"{w} is not an involution")
-    return [(x, w[x - 1]) for x in range(1, len(w) + 1) if w[x - 1] < x]
-
-
-def dominance_table(w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Table T with T[i-1][j-1] = #{a <= i : w(a) >= j}."""
-    m = len(w)
-    rows = []
-    prev = [0] * m
-    for i in range(m):
-        wi = w[i]
-        cur = [prev[j] + (1 if wi >= j + 1 else 0) for j in range(m)]
-        rows.append(tuple(cur))
-        prev = cur
-    return tuple(rows)
-
-
-def bruhat_leq(v: Sequence[int], w: Sequence[int]) -> bool:
-    """Bruhat--Chevalley comparison by the dominance criterion.
-
-    v <= w iff #{a <= i : v(a) >= j} <= #{a <= i : w(a) >= j} for all i, j.
-
-    >>> bruhat_leq((1, 2, 3), (3, 2, 1))
-    True
-    >>> bruhat_leq((2, 3, 4, 1), (3, 4, 1, 2))
-    False
-    """
-    if len(v) != len(w):
-        raise SizeMismatch(f"permutation sizes differ: {len(v)} vs {len(w)}")
-    tv = dominance_table(v)
-    tw = dominance_table(w)
-    return all(tv[i][j] <= tw[i][j] for i in range(len(v)) for j in range(len(v)))

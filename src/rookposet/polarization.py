@@ -11,15 +11,15 @@ scalars.
 
 This module owns every decision about M: the dimension bounds and the four
 polarization clauses are stated and tested here, and nothing here builds a
-matrix.  The dense ranks of ``exactlin`` (``tangent_dimension``) stay
-independent of it, and the tests compare the certificates against them.
+matrix.  The tests compare the certificates against the dense ranks of the
+tangent and pairing matrices, which stay independent of this module.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .board import Cell, RookPlacement, all_lower_cells, permutation_of
+from .board import Cell, RookPlacement, permutation_of
 from .errors import BoundViolation
 from .permutations import inversions
 
@@ -64,21 +64,13 @@ def mp_sets(D: RookPlacement) -> MPData:
     return MPData(tuple(per), frozenset(marked), p_all)
 
 
-def polarization_complement(D: RookPlacement) -> frozenset[Cell]:
-    """Cells indexing the polarization subalgebra: the lower triangle minus M."""
-    return frozenset(all_lower_cells(D.n)) - mp_sets(D).m_cells
-
-
-def subalgebra_witness(D: RookPlacement) -> tuple[int, int, int] | None:
+def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None:
     """Scan for a triple j < k < i with (i,k), (k,j) outside M but (i,j) in M.
 
-    No such triple exists; returning one would disprove that the complement
-    spans a subalgebra.  None signals success.
+    No such triple exists for the mark cells of a placement; returning one
+    would disprove that the complement spans a subalgebra.  None signals
+    success.
     """
-    return _subalgebra_witness(mp_sets(D).m_cells)
-
-
-def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None:
     for i, j in sorted(m_cells):
         for k in range(j + 1, i):
             if Cell(i, k) not in m_cells and Cell(k, j) not in m_cells:
@@ -164,8 +156,11 @@ class SupportCertificate:
     isotropy: Edge | None  # a pairing edge joining two cells outside M
 
 
-def support_certificate(D: RookPlacement) -> SupportCertificate:
+def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportCertificate:
     """Supports of the tangent and pairing matrices at the form of D, from the rooks.
+
+    ``m_cells`` is M, ``mp_sets(D).m_cells``; the isotropy witness is the
+    first pairing edge that joins two cells outside it.
 
     Tangent matrices have a row per generator (a, b), a <= b (written as the
     cell (a, b)), and a column per lower cell; the pairing has a row and a
@@ -197,10 +192,6 @@ def support_certificate(D: RookPlacement) -> SupportCertificate:
       So the Borel support is a forest iff the unipotent one is, and its
       matching is |D| larger.
     """
-    return _support_certificate(D, mp_sets(D).m_cells)
-
-
-def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportCertificate:
     # cell (i, j) has id i * w + j; rows lie above the diagonal and columns
     # below it, so one id per cell keeps the two sides apart
     w = D.n + 1

@@ -28,7 +28,7 @@ from .board import (
     to_json,
 )
 from .errors import BoundViolation
-from .exactlin import Scope, _integer_action, random_scalars, random_upper, rank_profile
+from .exactlin import _integer_action, random_scalars, random_upper, rank_profile
 from .polarization import _dimensions, _support_certificate, mp_sets, polarization_clauses
 from .poset import (
     _Order,
@@ -92,7 +92,7 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
         rng = _rng_for(seed, k)
         for s in range(samples):
             xi = random_scalars(D, rng, DEFAULT_BOUND)
-            b = random_upper(n, rng, DEFAULT_BOUND, Scope.BOREL)
+            b = random_upper(n, rng, DEFAULT_BOUND)
             if _orbit_profile(b, xi) != expected:
                 failures.append(
                     {
@@ -106,7 +106,7 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
 
 
 def _orbit_profile(b: list[list[int]], xi: dict[Cell, Fraction]) -> list[list[int]]:
-    """``rank_profile(coadjoint(b, placement_form(D, xi)))``, from the integer action alone.
+    """The rank profile of b acting on the form with rook scalars ``xi``, from the integer action alone.
 
     The rook scalars are scaled by the lcm of their denominators.  The integer
     result is scale·det(b) times the true form, and corner ranks do not see
@@ -124,7 +124,7 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
     Per placement: the closed-form dimensions respect their bounds, and the
     unipotent support of the placement form's action is a forest, so its
     maximum matching is the rank for every nonzero scalar choice; the pairing
-    has the same rank and the Borel tangent |D| more (``support_certificate``).
+    has the same rank and the Borel tangent |D| more (``_support_certificate``).
     Those ranks must be 2|M| + |D| (Borel tangent), 2|M| (unipotent tangent)
     and 2|M| (pairing, the maximality clause), and the other polarization
     clauses must pass.  A support with a cycle fails, and then only the

@@ -7,26 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rookposet import (
-    Cell,
-    CoverMove,
-    MoveKind,
-    Scope,
-    cell_leq,
-    cell_lt,
-    mp_sets,
-    placement,
-    placement_form,
-)
+from rookposet import Cell, CoverMove, MoveKind, mp_sets, placement
 from rookposet.board import all_lower_cells
-from rookposet.exactlin import _scaled, integer_rank, random_upper
+from rookposet.exactlin import _scaled, random_upper
 from rookposet.polarization import polarization_clauses
+
+from oracles import Scope, cell_leq, cell_lt, integer_rank, placement_form
 
 
 def upper_samples(n, seed, count, bound=3):
     """``count`` invertible Borel matrices drawn from one random.Random(seed)."""
     rng = random.Random(seed)
-    return [random_upper(n, rng, bound, Scope.BOREL) for _ in range(count)]
+    return [random_upper(n, rng, bound) for _ in range(count)]
 
 
 # --- Fraction oracles for the integer engine ----------------------------------
@@ -207,6 +199,11 @@ def placements(draw, min_n=10, max_n=40):
 # --- dense oracles for the poset index -------------------------------
 
 
+def lower_entries(R):
+    """The strict lower-triangle entries of a rank matrix, row-major."""
+    return tuple(x for i, row in enumerate(R.entries) for x in row[:i])
+
+
 def broadcast_pairwise_leq(rows):
     """le[a, b] = all(rows[a] <= rows[b]) by a chunked (width, count, count) broadcast.
 
@@ -241,7 +238,7 @@ def reference_cover_moves(D):
 
     Every result goes through placement(), which re-validates all its cells.
     """
-    rooks, rows, cols = D.rooks, D.rows, D.cols
+    rooks, rows, cols = D.rooks, D.rows, {c.col for c in D.rooks}
     found = {}
 
     def add(kind, removed, added):

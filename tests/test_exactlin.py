@@ -4,29 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rookposet import (
-    Scope,
-    coadjoint,
-    diagonal_normalizer,
-    empty_placement,
-    enumerate_placements,
-    placement,
-    placement_form,
-    rank_matrix,
-    rank_profile,
-    squared_corner,
-    tangent_dimension,
-)
-from rookposet.exactlin import (
-    _integer_action,
-    diagonal,
-    identity,
-    integer_rank,
-    random_scalars,
-    random_upper,
-    zeros,
-)
-from rookposet.errors import NotInvertible, NotUpperTriangular, WrongBoardSize
+from rookposet import enumerate_placements, placement, rank_matrix, rank_profile
+from rookposet.exactlin import _integer_action, _scaled, random_scalars, random_upper
+from rookposet.errors import NotInvertible, NotUpperTriangular
 from rookposet.suites import _orbit_profile
 
 from conftest import (
@@ -34,11 +14,21 @@ from conftest import (
     corner_rank_profile,
     fraction_bracket_rows,
     fraction_coadjoint,
-    fraction_product,
     fraction_rank,
     kirillov_form,
     matrix_rank,
     upper_samples,
+)
+from oracles import (
+    Scope,
+    diagonal,
+    diagonal_normalizer,
+    identity,
+    integer_rank,
+    placement_form,
+    squared_corner,
+    tangent_dimension,
+    zeros,
 )
 
 
@@ -69,6 +59,21 @@ def random_lower_form(rng, n):
     return form
 
 
+def unit(n):
+    """The n x n identity in ints, a group element for the integer kernel."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def int_product(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def form_entries(form):
+    """The nonzero entries (r, c, v), 0-based, of a strictly lower integer form."""
+    return [(r, c, v) for r, row in enumerate(form) for c, v in enumerate(row[:r]) if v]
+
+
 # --- forms -------------------------------------------------------------------
 
 
@@ -80,7 +85,7 @@ def test_placement_form_golden(golden8):
 
 
 def test_placement_form_empty():
-    assert placement_form(empty_placement(3)) == zeros(3)
+    assert placement_form(placement(3, [])) == zeros(3)
 
 
 def test_placement_form_scalar():
@@ -94,13 +99,13 @@ def test_placement_form_scalar():
 
 def test_coadjoint_identity(golden8):
     form = placement_form(golden8)
-    assert coadjoint(identity(8), form) == form
+    assert _integer_action(unit(8), form_entries(form), 8) == (form, 1)
 
 
 def test_coadjoint_normalizes_scaled_form(golden8):
     xi = {(3, 1): 2, (6, 2): 3, (7, 3): 5, (5, 4): 7, (8, 6): 11}
     t = diagonal_normalizer(golden8, xi)
-    assert coadjoint(diagonal(t), placement_form(golden8, xi)) == placement_form(golden8)
+    assert fraction_coadjoint(diagonal(t), placement_form(golden8, xi)) == placement_form(golden8)
 
 
 def test_coadjoint_normalizer_sweep():
@@ -110,54 +115,42 @@ def test_coadjoint_normalizer_sweep():
             for _ in range(20):
                 xi = random_scalars(D, rng)
                 t = diagonal_normalizer(D, xi)
-                assert coadjoint(diagonal(t), placement_form(D, xi)) == placement_form(D)
+                assert fraction_coadjoint(diagonal(t), placement_form(D, xi)) == placement_form(D)
 
 
 def test_coadjoint_is_group_action():
+    # both sides are det(b1)·det(b2) times the action of b1·b2: the strict
+    # lower part of b1·X·b1^{-1} does not see the upper part of X
     samples = upper_samples(5, seed=7, count=100)
     D = placement(5, [(3, 1), (5, 2), (4, 3)])
-    form = placement_form(D)
+    entries = form_entries(placement_form(D))
     for k in range(0, 100, 2):
         b1, b2 = samples[k], samples[k + 1]
-        assert coadjoint(fraction_product(b1, b2), form) == coadjoint(b1, coadjoint(b2, form))
-
-
-def test_coadjoint_matches_fraction_oracle():
-    rng = random.Random(41)
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        b = zeros(n)
-        for i in range(n):
-            b[i][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
-            for j in range(i + 1, n):
-                b[i][j] = random_rational(rng)
-        form = random_lower_form(rng, n)
-        lam = coadjoint(b, form)
-        assert lam == fraction_coadjoint(b, form)
-        assert all(type(x) is Fraction for row in lam for x in row)
-    for b in upper_samples(6, seed=43, count=100):
-        form = random_lower_form(rng, 6)
-        assert coadjoint(b, form) == fraction_coadjoint(b, form)
+        inner, _ = _integer_action(b2, entries, 5)
+        outer, _ = _integer_action(b1, form_entries(inner), 5)
+        assert _integer_action(int_product(b1, b2), entries, 5)[0] == outer
 
 
 def test_coadjoint_accepts_integer_and_negative_diagonal_matrices():
     b = [[-2, 1, 0], [0, 3, -1], [0, 0, -1]]
-    form = placement_form(placement(3, [(3, 1)]), {(3, 1): Fraction(-3, 4)})
-    assert coadjoint(b, form) == fraction_coadjoint([[Fraction(x) for x in r] for r in b], form)
+    form = placement_form(placement(3, [(3, 1)]), {(3, 1): -3})
+    lower, det = _integer_action(b, form_entries(form), 3)
+    assert det == 6
+    assert lower == [[det * x for x in row] for row in fraction_coadjoint(b, form)]
 
 
 def test_coadjoint_rejects_bad_matrices():
-    form = placement_form(placement(3, [(3, 1)]))
-    lower = identity(3)
-    lower[2][0] = Fraction(1)
+    entries = form_entries(placement_form(placement(3, [(3, 1)])))
+    lower = unit(3)
+    lower[2][0] = 1
     with pytest.raises(NotUpperTriangular, match=r"^entry \(3,1\) is nonzero$"):
-        coadjoint(lower, form)
-    singular = identity(3)
-    singular[1][1] = Fraction(0)
+        _integer_action(lower, entries, 3)
+    singular = unit(3)
+    singular[1][1] = 0
     with pytest.raises(NotInvertible, match=r"^zero diagonal entry at \(2,2\)$"):
-        coadjoint(singular, form)
+        _integer_action(singular, entries, 3)
     with pytest.raises(ValueError, match="^matrix size 4 does not match form size 3$"):
-        coadjoint(identity(4), form)
+        _integer_action(unit(4), entries, 3)
 
 
 def test_integer_action_matches_fraction_oracle():
@@ -189,8 +182,8 @@ def test_orbit_profile_matches_fraction_path():
     for D, count in cases:
         for _ in range(count):
             xi = random_scalars(D, rng)
-            b = random_upper(D.n, rng, 3, Scope.BOREL)
-            expected = rank_profile(coadjoint(b, placement_form(D, xi)))
+            b = random_upper(D.n, rng, 3)
+            expected = rank_profile(fraction_coadjoint(b, placement_form(D, xi)))
             assert _orbit_profile(b, xi) == expected == [list(row) for row in rank_matrix(D).entries]
 
 
@@ -217,8 +210,8 @@ def test_rank_profile_orbit_invariance_sampled():
         expected = [list(row) for row in rank_matrix(D).entries]
         for k in range(20):
             xi = random_scalars(D, rng)
-            b = random_upper(4, random.Random(100 + k), 3, Scope.BOREL)
-            assert rank_profile(coadjoint(b, placement_form(D, xi))) == expected
+            b = random_upper(4, random.Random(100 + k), 3)
+            assert rank_profile(fraction_coadjoint(b, placement_form(D, xi))) == expected
 
 
 def test_rank_profile_matches_corner_oracle_on_orbit_samples():
@@ -226,7 +219,8 @@ def test_rank_profile_matches_corner_oracle_on_orbit_samples():
     everything = enumerate_placements(8)
     for b in upper_samples(8, seed=19, count=1000):
         D = rng.choice(everything)
-        lam = coadjoint(b, placement_form(D, random_scalars(D, rng)))
+        form, _ = _scaled(placement_form(D, random_scalars(D, rng)))
+        lam, _ = _integer_action(b, form_entries(form), 8)  # a multiple of the orbit form: same corner ranks
         profile = rank_profile(lam)
         assert profile == corner_rank_profile(lam)
         assert profile == [list(row) for row in rank_matrix(D).entries]
@@ -349,7 +343,7 @@ def test_check_polarization_golden(golden8):
 
 
 def test_check_polarization_empty():
-    report = check_polarization(empty_placement(4))
+    report = check_polarization(placement(4, []))
     assert all(clause["ok"] for clause in report.values())
     assert report["codimension"]["witness"] == 6  # whole lower triangle, codimension zero
 
@@ -364,27 +358,20 @@ def test_check_polarization_chain6(chain6):
 # --- sampling -------------------------------------------------------------------
 
 
-def test_sample_borel_shape_unipotent():
-    mat = random_upper(2, random.Random(1), 1, Scope.UNIPOTENT)
-    assert mat[0][0] == 1 and mat[1][1] == 1 and mat[1][0] == 0
-    assert mat[0][1] in (-1, 0, 1)
-
-
 def test_sample_borel_pinned():
     # one draw pinned, so the order of the randint calls cannot drift
-    assert random_upper(4, random.Random(2024), 3, Scope.BOREL) == [
+    assert random_upper(4, random.Random(2024), 3) == [
         [3, 0, -2, 2],
         [0, 2, 1, -1],
         [0, 0, 3, -2],
         [0, 0, 0, 2],
     ]
-    assert random_upper(3, random.Random(2024), 2, Scope.UNIPOTENT) == [[1, 1, -1], [0, 1, 2], [0, 0, 1]]
-    assert all(type(x) is int for row in random_upper(5, random.Random(1), 3, Scope.BOREL) for x in row)
+    assert all(type(x) is int for row in random_upper(5, random.Random(1), 3) for x in row)
 
 
 def test_sample_borel_deterministic():
-    first = random_upper(5, random.Random(123), 4, Scope.BOREL)
-    assert first == random_upper(5, random.Random(123), 4, Scope.BOREL)
+    first = random_upper(5, random.Random(123), 4)
+    assert first == random_upper(5, random.Random(123), 4)
     a = upper_samples(5, seed=123, count=10, bound=4)
     b = upper_samples(5, seed=123, count=10, bound=4)
     assert a == b
@@ -408,7 +395,7 @@ def test_squared_corner_vanishes_at_base_point():
 def test_squared_corner_vanishes_on_orbit_samples():
     form = placement_form(placement(4, [(2, 1), (3, 2)]))
     for b in upper_samples(4, seed=11, count=100):
-        assert squared_corner(coadjoint(b, form)) == 0
+        assert squared_corner(fraction_coadjoint(b, form)) == 0
 
 
 def test_squared_corner_nonzero():
@@ -416,7 +403,7 @@ def test_squared_corner_nonzero():
 
 
 def test_squared_corner_wrong_size():
-    with pytest.raises(WrongBoardSize):
+    with pytest.raises(ValueError, match="^defined only on the 4-board, got n=5$"):
         squared_corner(zeros(5))
 
 

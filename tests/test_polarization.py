@@ -2,26 +2,19 @@ import random
 
 from hypothesis import given, settings
 
-from rookposet import (
-    Cell,
-    MPData,
-    Scope,
-    dimensions,
-    empty_placement,
-    enumerate_placements,
-    mp_sets,
-    placement,
-    placement_form,
-    polarization_complement,
-    subalgebra_witness,
-    support_certificate,
-    tangent_dimension,
-)
-from rookposet.exactlin import _bracket_row, _scaled, random_scalars
+from rookposet import Cell, dimensions, enumerate_placements, mp_sets, placement
+from rookposet.board import all_lower_cells
+from rookposet.exactlin import _scaled, random_scalars
 from rookposet import polarization
-from rookposet.polarization import SupportCertificate, all_lower_cells, forest_support
+from rookposet.polarization import (
+    SupportCertificate,
+    _subalgebra_witness,
+    _support_certificate,
+    forest_support,
+)
 
 from conftest import check_polarization, pairing_rows, placements
+from oracles import Scope, bracket_row, placement_form, tangent_dimension
 
 
 def cells(*pairs):
@@ -41,7 +34,7 @@ def test_mp_sets_golden(golden8):
 
 
 def test_mp_sets_empty():
-    data = mp_sets(empty_placement(5))
+    data = mp_sets(placement(5, []))
     assert data.per_rook == ()
     assert data.m_cells == frozenset()
     assert data.p_cells == frozenset()
@@ -59,8 +52,8 @@ def test_mp_per_rook_cardinalities_and_disjointness():
             data = mp_sets(D)
             for _, m, p in data.per_rook:
                 assert len(m) == len(p)
-            assert not data.m_cells & D.cells
-            assert not data.p_cells & D.cells
+            assert not data.m_cells & set(D.rooks)
+            assert not data.p_cells & set(D.rooks)
             assert not data.m_cells & data.p_cells
             # unions are disjoint across rooks
             assert sum(len(m) for _, m, _ in data.per_rook) == len(data.m_cells)
@@ -68,28 +61,25 @@ def test_mp_per_rook_cardinalities_and_disjointness():
 
 
 def test_complement_counts(golden8, chain6):
-    assert len(polarization_complement(empty_placement(4))) == 6
-    assert len(polarization_complement(golden8)) == 28 - 6
-    assert len(polarization_complement(chain6)) == 15 - 2
+    def complement(D):
+        return frozenset(all_lower_cells(D.n)) - mp_sets(D).m_cells
+
+    assert len(complement(placement(4, []))) == 6
+    assert len(complement(golden8)) == 28 - 6
+    assert len(complement(chain6)) == 15 - 2
 
 
-def test_complement_is_disjoint_from_marks(golden8):
-    comp = polarization_complement(golden8)
-    assert not comp & mp_sets(golden8).m_cells
-
-
-def test_subalgebra_witness_examples(golden8, monkeypatch):
-    assert subalgebra_witness(golden8) is None
-    assert subalgebra_witness(empty_placement(4)) is None
+def test_subalgebra_witness_examples(golden8):
+    assert _subalgebra_witness(mp_sets(golden8).m_cells) is None
+    assert _subalgebra_witness(mp_sets(placement(4, [])).m_cells) is None
     # no placement has a witness, but the mark set {(3,1)} alone does
-    monkeypatch.setattr(polarization, "mp_sets", lambda D: MPData((), cells((3, 1)), frozenset()))
-    assert subalgebra_witness(empty_placement(4)) == (3, 2, 1)
+    assert _subalgebra_witness(cells((3, 1))) == (3, 2, 1)
 
 
 def test_subalgebra_witness_exhaustive():
     for n in range(1, 8):
         for D in enumerate_placements(n):
-            assert subalgebra_witness(D) is None
+            assert _subalgebra_witness(mp_sets(D).m_cells) is None
 
 
 def test_dimensions_chain6(chain6):
@@ -103,7 +93,7 @@ def test_dimensions_chain6(chain6):
 
 
 def test_dimensions_empty():
-    dims = dimensions(empty_placement(4))
+    dims = dimensions(placement(4, []))
     assert (dims.m_size, dims.dim_theta, dims.dim_omega, dims.length) == (0, 0, 0, 0)
 
 
@@ -145,8 +135,8 @@ def dense_supports(form):
 
     gens = [Cell(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     diagonal = [Cell(a, a) for a in range(1, n + 1)]
-    unipotent = nonzero(gens, [_bracket_row(int_form, a, b, cells) for a, b in gens])
-    borel = unipotent | nonzero(diagonal, [_bracket_row(int_form, a, a, cells) for a, _ in diagonal])
+    unipotent = nonzero(gens, [bracket_row(int_form, a, b, cells) for a, b in gens])
+    borel = unipotent | nonzero(diagonal, [bracket_row(int_form, a, a, cells) for a, _ in diagonal])
     return unipotent, borel, nonzero(cells, pairing_rows(int_form, cells))
 
 
@@ -164,7 +154,7 @@ def test_support_certificate_matches_dense_action(monkeypatch):
     rng = random.Random(24)
     for D in chosen:
         seen.clear()
-        cert = support_certificate(D)
+        cert = _support_certificate(D, mp_sets(D).m_cells)
         [edges] = seen  # one forest test per placement
         assert len(set(edges)) == len(edges)
         assert cert.cycle is None
@@ -182,11 +172,11 @@ def test_support_certificate_matches_dense_action(monkeypatch):
 
 
 def test_support_certificate_golden(golden8):
-    cert = support_certificate(golden8)
+    cert = _support_certificate(golden8, mp_sets(golden8).m_cells)
     dims = dimensions(golden8)
     assert (cert.cycle, cert.matching, cert.isotropy) == (None, 12, None)
     assert dims.dim_omega == 12 + 5 and dims.dim_theta == 12
-    assert support_certificate(empty_placement(3)) == SupportCertificate(None, 0, None)
+    assert _support_certificate(placement(3, []), frozenset()) == SupportCertificate(None, 0, None)
 
 
 def test_forest_support_reports_a_cycle():
@@ -198,17 +188,16 @@ def test_forest_support_reports_a_cycle():
     assert forest_support([(r1, c1), (r1, c2), (r2, c1)]) == (None, 2)
 
 
-def test_isotropy_reports_an_edge_between_complement_cells(monkeypatch, golden8):
+def test_isotropy_reports_an_edge_between_complement_cells(golden8):
     # with M taken as empty, every pairing edge joins two complement cells;
     # the first is (k,q)-(p,k) for the first rook (3,1) and k = 2
-    monkeypatch.setattr(polarization, "mp_sets", lambda D: MPData((), frozenset(), frozenset()))
-    assert support_certificate(golden8).isotropy == (Cell(2, 1), Cell(3, 2))
+    assert _support_certificate(golden8, frozenset()).isotropy == (Cell(2, 1), Cell(3, 2))
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(placements())
 def test_support_certificate_beyond_enumeration(D):
-    cert = support_certificate(D)
+    cert = _support_certificate(D, mp_sets(D).m_cells)
     dims = dimensions(D)  # raises BoundViolation on any breach
     assert cert.cycle is None
     assert cert.matching + dims.d_size == dims.dim_omega

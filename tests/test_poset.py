@@ -13,14 +13,11 @@ from rookposet import (
     MoveKind,
     VerificationReport,
     bell_number,
-    cell_lt,
     cover_moves,
-    empty_placement,
     enumerate_placements,
     hasse_dot,
     inversions,
     kerov_involution,
-    leq,
     maximal_element,
     permutation_of,
     placement,
@@ -32,7 +29,6 @@ from rookposet import (
 from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard
-from rookposet.permutations import bruhat_leq, dominance_table
 from rookposet.poset import (
     PosetIndex,
     _essential,
@@ -44,7 +40,8 @@ from rookposet.poset import (
     _steps,
 )
 
-from conftest import broadcast_pairwise_leq, matmul_covers, placements, reference_cover_moves
+from conftest import broadcast_pairwise_leq, lower_entries, matmul_covers, placements, reference_cover_moves
+from oracles import bruhat_leq, cell_lt, dominance_table, leq
 
 
 def decoded(n, key):
@@ -69,7 +66,7 @@ def test_enumeration_is_lexicographic():
         everything = enumerate_placements(n)
         assert everything == sorted(everything, key=lambda D: D.rooks)
         assert len(set(everything)) == len(everything)
-        assert everything[0] == empty_placement(n)
+        assert everything[0] == placement(n, [])
 
 
 @pytest.mark.parametrize("n", [0, 10])
@@ -97,7 +94,7 @@ def test_rank_sums_in_closed_form(n):
     # the index sorts by rank-matrix sums taken from the rooks: rook (a, b)
     # counts in the C(a - b + 1, 2) cells b <= j < i <= a
     for D in enumerate_placements(n):
-        assert 2 * sum(rank_matrix(D).flatten_lower()) == sum((a - b) * (a - b + 1) for a, b in D.rooks), D
+        assert 2 * sum(map(sum, rank_matrix(D).entries)) == sum((a - b) * (a - b + 1) for a, b in D.rooks), D
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -131,7 +128,7 @@ def test_removable_spread_rook():
 
 
 def test_removable_empty():
-    assert _minimal_and_removed(empty_placement(3)) == (set(), set())
+    assert _minimal_and_removed(placement(3, [])) == (set(), set())
 
 
 def test_remove_moves_are_the_covers_with_one_rook_fewer():
@@ -169,7 +166,7 @@ def test_cover_moves_split_example():
 
 
 def test_cover_moves_empty():
-    assert cover_moves(empty_placement(4)) == []
+    assert cover_moves(placement(4, [])) == []
 
 
 def test_cover_moves_single_rook_small_board():
@@ -287,13 +284,13 @@ def test_brute_force_covers_small():
     index = poset_index(3)
     covers = index.lower_covers(placement(3, [(3, 1)]))
     assert covers == [placement(3, [(2, 1), (3, 2)])]
-    assert index.lower_covers(empty_placement(3)) == []
+    assert index.lower_covers(placement(3, [])) == []
 
 
 def test_brute_force_not_indexed():
     index = poset_index(3)
     with pytest.raises(NotIndexed):
-        index.lower_covers(empty_placement(4))
+        index.lower_covers(placement(4, []))
 
 
 def test_index_relation_agrees_with_leq():
@@ -315,7 +312,7 @@ def test_index_relation_agrees_with_leq():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_index_matches_dense_oracles(n):
     index = poset_index(n)
-    rows = [rank_matrix(D).flatten_lower() for D in index.placements]
+    rows = [lower_entries(rank_matrix(D)) for D in index.placements]
     le = broadcast_pairwise_leq(np.array(rows).reshape(len(index.placements), -1))
     covers = matmul_covers(le)
     assert np.array_equal(index.le, le)
@@ -401,7 +398,7 @@ def test_essential_down_sets_match_full_tables(n):
     # full rank rows and dominance tables of every pair
     index = poset_index(n)
     ranked = [index.placements[k] for k in index._by_position]
-    tables = {"rank": [rank_matrix(D).flatten_lower() for D in ranked]}
+    tables = {"rank": [lower_entries(rank_matrix(D)) for D in ranked]}
     orders = {"rank": index._order}
     for name, perm_of in [("sigma", kerov_involution), ("w", permutation_of)]:
         if name == "sigma" and n == 1:
@@ -441,7 +438,7 @@ def test_essential_cells_are_exactly_the_unimplied_entries():
         for D in enumerate_placements(n):
             R = rank_matrix(D)  # entry (i, j) sits at (n + 1 - i, n + 1 - j), on the band J > I
             T = [[0] * (n + 1)] + [
-                [0] + [R.entry(n + 1 - I, n + 1 - J) if J > I else 0 for J in range(1, n + 1)]
+                [0] + [R.entries[n - I][n - J] if J > I else 0 for J in range(1, n + 1)]
                 for I in range(1, n + 1)
             ]
             assert set(_essential(_rank_points(D), 1)) == table_essential(T, lambda I, J: J > I), D
@@ -492,7 +489,7 @@ def test_essential_cells_beyond_enumeration(pair, rng):
     for E in (chain[-1], unrelated):
         rank_E = rank_matrix(E)
         essential = _essential(_rank_points(D), 1)
-        by_cells = all(rank_E.entry(D.n + 1 - I, D.n + 1 - J) <= v for (I, J), v in essential)
+        by_cells = all(rank_E.entries[D.n - I][D.n - J] <= v for (I, J), v in essential)
         assert by_cells == rank_E.dominated_by(rank_matrix(D))
         for perm_of in (kerov_involution, permutation_of):
             v, w = perm_of(E), perm_of(D)
@@ -527,7 +524,7 @@ def test_unremovable_minimal_rooks_are_not_covers():
 
 def test_maximal_element_values():
     assert maximal_element(5) == placement(5, [(5, 1), (4, 2)])
-    assert maximal_element(1) == empty_placement(1)
+    assert maximal_element(1) == placement(1, [])
     assert maximal_element(6) == placement(6, [(6, 1), (5, 2), (4, 3)])
 
 
