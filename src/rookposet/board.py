@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import permutations as perms
-from .errors import AttackingRooks, BoardTooSmall, OutOfBoard, SizeMismatch
+from .errors import AttackingRooks, BoardTooSmall, OutOfBoard
 
 
 class Cell(NamedTuple):
@@ -84,13 +84,6 @@ class RankMatrix:
 
     n: int
     entries: tuple[tuple[int, ...], ...]
-
-    def dominated_by(self, other: "RankMatrix") -> bool:
-        if self.n != other.n:
-            raise SizeMismatch(f"board sizes differ: {self.n} vs {other.n}")
-        return all(
-            a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
 
 
 def rank_matrix(D: RookPlacement) -> RankMatrix:

@@ -32,12 +32,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=str)
 
 
-def _load_placement(path: str) -> RookPlacement:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_placement(args) -> RookPlacement:
+    """The placement file of ``args``, on a board the command ``args.command`` accepts."""
+    with open(args.placement, "r", encoding="utf-8") as fh:
         try:
-            return from_json(json.load(fh))
+            D = from_json(json.load(fh))
         except RecursionError:  # the decoder recurses once per nested list or object
             raise ValueError("placement JSON is nested too deeply") from None
+    if D.n > ANALYZE_LIMIT:
+        raise LimitExceeded(f"{args.command} supports n <= {ANALYZE_LIMIT}, got {D.n}")
+    return D
 
 
 def _cell_list(cells) -> str:
@@ -46,12 +50,10 @@ def _cell_list(cells) -> str:
 
 
 def cmd_analyze(args) -> int:
-    D = _load_placement(args.placement)
-    if D.n > ANALYZE_LIMIT:
-        raise LimitExceeded(f"analyze supports n <= {ANALYZE_LIMIT}, got {D.n}")
+    D = _load_placement(args)
     R = rank_matrix(D)
     data = mp_sets(D)
-    dims = dimensions(D)
+    dims = dimensions(D, data.m_cells)
     w = permutation_of(D)
     sigma = list(kerov_involution(D)) if D.n >= 2 else None
     if args.json:
@@ -90,19 +92,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    D = _load_placement(args.placement)
-    if D.n > ANALYZE_LIMIT:
-        raise LimitExceeded(f"covers supports n <= {ANALYZE_LIMIT}, got {D.n}")
+    D = _load_placement(args)
     moves = cover_moves(D)
     mismatch = None
     if args.brute_force:
-        oracle = set(poset_index(D.n).lower_covers(D))
-        produced = {m.result for m in moves}
-        if produced != oracle:
-            mismatch = {
-                "missing": [to_json(p) for p in sorted(oracle - produced, key=lambda p: p.rooks)],
-                "extra": [to_json(p) for p in sorted(produced - oracle, key=lambda p: p.rooks)],
-            }
+        idx = poset_index(D.n)
+        mismatch = idx.cover_mismatch(idx.index_of(D), [idx.index_of(m.result) for m in moves])
     if args.json:
         out = to_json(D)
         out["covers"] = [m.to_json() for m in moves]

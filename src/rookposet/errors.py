@@ -23,10 +23,6 @@ class AttackingRooks(RookError):
         self.axis = axis
 
 
-class SizeMismatch(RookError):
-    """Operands live on boards (or in symmetric groups) of different sizes."""
-
-
 class BoardTooSmall(RookError):
     """The operation needs a board of size at least 2."""
 

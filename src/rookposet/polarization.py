@@ -87,17 +87,13 @@ class OrbitDimensions:
     length: int  # Coxeter length of the attached permutation
 
 
-def dimensions(D: RookPlacement) -> OrbitDimensions:
+def dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
     """Closed-form orbit dimensions together with their length bounds.
 
-    Raises BoundViolation if 2|M| + |D| > l(w), which is also the bound
-    2|M| <= l(w) - |D|; a breach would contradict the proven inequality chain
-    and must surface loudly.
+    ``m_cells`` is M, ``mp_sets(D).m_cells``.  Raises BoundViolation if
+    2|M| + |D| > l(w), which is also the bound 2|M| <= l(w) - |D|; a breach
+    would contradict the proven inequality chain and must surface loudly.
     """
-    return _dimensions(D, mp_sets(D).m_cells)
-
-
-def _dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
     length = inversions(permutation_of(D))
     m2 = 2 * len(m_cells)
     d = len(D.rooks)

@@ -5,13 +5,15 @@ defined once, in ``_steps``, with guards that make every produced placement
 an immediate predecessor in the rank-matrix order.  A step tests only its
 added cells, and a cell that leaves the board or attacks a rook is reported
 by ``board.placement``, the one rule for a valid placement.  The guards are
-not taken on faith: ``verify_covers`` recomputes all lower covers from
-scratch over the full enumeration, from bit-packed down-sets of the
-rank-matrix order and a transitive reduction along a linear extension, and
-reports any discrepancy with a witness.  The down-sets come from the order
-engine (``_Order``), which compares at essential cells; ``_points_order``
-builds every order, this one and the Bruhat orders of the suites, reading
-its tables as quadrant popcounts.
+not taken on faith: ``PosetIndex(n)`` enumerates the n-board and peels all
+lower covers from scratch, from bit-packed down-sets of the rank-matrix
+order along a linear extension, and ``PosetIndex.cover_mismatch`` is the
+one diff of a move list against them, for ``verify_covers`` and the
+``covers --brute-force`` command alike.  The down-sets come from the order
+engine (``_Order``), the only code that compares two placements, at
+essential cells; ``_points_order`` builds every order, this one, the top
+element's and the Bruhat orders of the suites, reading its tables as
+quadrant popcounts.
 """
 from __future__ import annotations
 
@@ -396,28 +398,26 @@ def _points_order(points: Sequence[Sequence[int]], band: int) -> _Order:
 
 
 class PosetIndex:
-    """All placements of one board and their rank-matrix order.
+    """All placements of the n-board, in enumeration order, and their rank-matrix order.
 
     D <= E iff D's rank matrix is entrywise at most E's, so sorted by their
     rank-matrix sums the placements form a linear extension, ``_by_position``,
     in which ``_order`` holds them as the points of their rank matrices
     (``_rank_points``); lower covers are peeled from it on request.
-    Placements are looked up by their packed key (``_key``).  The dense order
+    A placement's id is its place in the enumeration, looked up by its
+    packed key (``_key``) in ``index_of``.  The dense order
     and cover relations, 17 MB each at n=8, are numpy bool matrices built on
     request and not kept; only they import numpy.
     """
 
-    def __init__(self, n: int, placements: list[RookPlacement]):
-        stray = next((D for D in placements if D.n != n), None)
-        if stray is not None:
-            raise ValueError(f"{stray} is a placement of the {stray.n}-board, not of the {n}-board")
+    def __init__(self, n: int):
+        if not 1 <= n <= INDEX_LIMIT:
+            raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
         self.n = n
-        self.placements = placements
+        self.placements = placements = enumerate_placements(n)
         self._ids = {_key(D): k for k, D in enumerate(placements)}
-        # a < b entrywise with distinct placements makes the sum grow strictly
-        if len(self._ids) != len(placements):
-            raise ValueError("rank-matrix sums are not a linear extension: a placement repeats")
-        # rook (a, b) counts in the C(a - b + 1, 2) rank cells b <= j < i <= a
+        # rook (a, b) counts in the C(a - b + 1, 2) rank cells b <= j < i <= a,
+        # and a < b entrywise makes the sum grow strictly
         sums = [sum((a - b) * (a - b + 1) // 2 for a, b in D.rooks) for D in placements]
         self._by_position = sorted(range(len(placements)), key=sums.__getitem__)
         self._position = sorted(range(len(placements)), key=self._by_position.__getitem__)
@@ -453,15 +453,20 @@ class PosetIndex:
         """Ids of the immediate predecessors of placement d, ascending."""
         return sorted(map(self._by_position.__getitem__, self._order.lower_covers(self._position[d])))
 
-    def lower_covers(self, D: RookPlacement) -> list[RookPlacement]:
-        return [self.placements[t] for t in self.lower_cover_ids(self.index_of(D))]
+    def cover_mismatch(self, d: int, got: Iterable[int]) -> dict | None:
+        """None if ``got`` are exactly the ids of d's lower covers, else the missing and extra ones, by id."""
+        got, expected = set(got), set(self.lower_cover_ids(d))
+        if got == expected:
+            return None
+        return {
+            "missing": [to_json(self.placements[t]) for t in sorted(expected - got)],
+            "extra": [to_json(self.placements[t]) for t in sorted(got - expected)],
+        }
 
 
 @lru_cache(maxsize=None)
 def poset_index(n: int) -> PosetIndex:
-    if not 1 <= n <= INDEX_LIMIT:
-        raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
-    return PosetIndex(n, enumerate_placements(n))
+    return PosetIndex(n)
 
 
 def verify_covers(n: int) -> tuple[int, list[dict]]:
@@ -477,19 +482,13 @@ def verify_covers(n: int) -> tuple[int, list[dict]]:
     failures: list[dict] = []
     for d, D in enumerate(idx.placements):
         try:
-            got = {ids[step[3]] for step in _steps(D)}
+            got = [ids[step[3]] for step in _steps(D)]
         except RookError as exc:
             failures.append({"placement": to_json(D), "error": str(exc)})
             continue
-        expected = set(idx.lower_cover_ids(d))
-        if got != expected:
-            failures.append(
-                {
-                    "placement": to_json(D),
-                    "missing": [to_json(idx.placements[t]) for t in sorted(expected - got)],
-                    "extra": [to_json(idx.placements[t]) for t in sorted(got - expected)],
-                }
-            )
+        mismatch = idx.cover_mismatch(d, got)
+        if mismatch:
+            failures.append({"placement": to_json(D), **mismatch})
     return len(idx.placements), failures
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from rookposet.board import Cell, RookPlacement, all_lower_cells, chains, placement, rank_matrix
-from rookposet.errors import SizeMismatch
 from rookposet.exactlin import Matrix, _check_form, _scaled
 from rookposet.permutations import Perm
 
@@ -32,7 +31,10 @@ def cell_lt(a: Cell, b: Cell) -> bool:
 
 def leq(D: RookPlacement, other: RookPlacement) -> bool:
     """Partial order: D <= other iff the rank matrices compare entrywise."""
-    return rank_matrix(D).dominated_by(rank_matrix(other))
+    if D.n != other.n:
+        raise ValueError(f"board sizes differ: {D.n} vs {other.n}")
+    pairs = zip(rank_matrix(D).entries, rank_matrix(other).entries)
+    return all(a <= b for ra, rb in pairs for a, b in zip(ra, rb))
 
 
 def involution_placement(sigma: Sequence[int]) -> RookPlacement:
@@ -216,7 +218,7 @@ def compose(f: Sequence[int], g: Sequence[int]) -> Perm:
     (2, 3, 1)
     """
     if len(f) != len(g):
-        raise SizeMismatch(f"cannot compose permutations of sizes {len(f)} and {len(g)}")
+        raise ValueError(f"cannot compose permutations of sizes {len(f)} and {len(g)}")
     return tuple(f[x - 1] for x in g)
 
 
@@ -280,7 +282,7 @@ def bruhat_leq(v: Sequence[int], w: Sequence[int]) -> bool:
     False
     """
     if len(v) != len(w):
-        raise SizeMismatch(f"permutation sizes differ: {len(v)} vs {len(w)}")
+        raise ValueError(f"permutation sizes differ: {len(v)} vs {len(w)}")
     tv = dominance_table(v)
     tw = dominance_table(w)
     return all(tv[i][j] <= tw[i][j] for i in range(len(v)) for j in range(len(v)))

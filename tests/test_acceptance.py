@@ -63,7 +63,7 @@ def test_criterion_1_golden_examples(golden8, golden8_rank_table):
     assert kerov_involution(golden8) == (4, 2, 10, 1, 12, 6, 8, 7, 9, 3, 14, 5, 13, 11)
 
     chain6 = placement(6, [(3, 1), (5, 2), (4, 3), (6, 4)])
-    dims = dimensions(chain6)
+    dims = dimensions(chain6, mp_sets(chain6).m_cells)
     assert dims.m_size == 2
     assert dims.dim_theta == 4
     assert dims.length == 10
@@ -177,7 +177,7 @@ def test_criterion_8_orthogonal_sharpness():
     for n in range(1, 8):
         for D in enumerate_placements(n):
             if all(len(chain) <= 2 for chain in chains(D).chains):
-                dims = dimensions(D)
+                dims = dimensions(D, mp_sets(D).m_cells)
                 assert dims.dim_theta == dims.length - dims.d_size, D
                 checked += 1
     assert checked > 0
@@ -187,7 +187,7 @@ def test_criterion_8_orthogonal_sharpness():
 def test_criterion_9_guard_regression(golden8):
     t0 = time.perf_counter()
     index = poset_index(8)
-    covers = set(index.lower_covers(golden8))
+    covers = {index.placements[t] for t in index.lower_cover_ids(index.index_of(golden8))}
     produced = {m.result for m in cover_moves(golden8)}
     assert produced == covers
 

@@ -16,7 +16,7 @@ from rookposet import (
     rank_matrix,
     to_json,
 )
-from rookposet.errors import AttackingRooks, BoardTooSmall, OutOfBoard, SizeMismatch
+from rookposet.errors import AttackingRooks, BoardTooSmall, OutOfBoard
 from fractions import Fraction
 
 import oracles
@@ -175,19 +175,16 @@ def test_leq_remark_25_pair():
 
 
 def test_leq_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError, match="board sizes differ: 3 vs 4"):
         leq(placement(3, []), placement(4, []))
 
 
 def test_partial_order_axioms_exhaustive():
     for n in range(1, 6):
         everything = enumerate_placements(n)
-        ranks = [rank_matrix(D) for D in everything]
         # antisymmetry via injectivity of the rank matrix
-        assert len(set(ranks)) == len(everything)
-        le = [
-            [ra.dominated_by(rb) for rb in ranks] for ra in ranks
-        ]
+        assert len({rank_matrix(D) for D in everything}) == len(everything)
+        le = [[leq(a, b) for b in everything] for a in everything]
         count = len(everything)
         for a in range(count):
             assert le[a][a]
@@ -331,8 +328,8 @@ def test_bruhat_cor18_oracle_remark_16iii():
     # their orthogonal placements.
     low = involution_placement(kerov_involution(placement(4, [(3, 2), (4, 3)])))
     high = involution_placement(kerov_involution(placement(4, [(2, 1), (3, 2)])))
-    assert not rank_matrix(low).dominated_by(rank_matrix(high))
-    assert not rank_matrix(high).dominated_by(rank_matrix(low))
+    assert not leq(low, high)
+    assert not leq(high, low)
 
 
 # --- normalizing diagonal ---------------------------------------------------

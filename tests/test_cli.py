@@ -250,6 +250,33 @@ def test_order_suites_report_planted_faults(monkeypatch, capsys):
     ]
 
 
+def test_d0max_reports_planted_fault(monkeypatch, capsys):
+    # a low top leaves ten placements above it or beside it; each is a
+    # witness with that top, in enumeration order
+    low = placement(4, [(3, 1)])
+    monkeypatch.setattr(suites, "maximal_element", lambda n: low)
+    assert run(["verify", "--suite", "d0max", "--n", "4", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [report] = json.loads(captured.out)
+    assert report["checked"] == 15
+    assert report["failures"] == [
+        {"placement": {"n": 4, "rooks": [list(c) for c in cells]}, "top": {"n": 4, "rooks": [[3, 1]]}}
+        for cells in [
+            ((2, 1), (3, 2), (4, 3)),
+            ((2, 1), (4, 2)),
+            ((2, 1), (4, 3)),
+            ((3, 1), (4, 2)),
+            ((3, 1), (4, 3)),
+            ((3, 2), (4, 3)),
+            ((4, 1),),
+            ((4, 1), (3, 2)),
+            ((4, 2),),
+            ((4, 3),),
+        ]
+    ]
+
+
 def test_exhaustive_suites_leave_numpy_unloaded(tmp_path):
     # numpy serves only the dense views PosetIndex.le and .covers; the CLI
     # and every suite, cor18 and proctor included, never load it, and

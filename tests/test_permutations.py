@@ -4,7 +4,6 @@ from itertools import permutations as iterperms
 import pytest
 
 from rookposet import permutations
-from rookposet.errors import SizeMismatch
 from rookposet.permutations import inversions
 
 import oracles
@@ -55,9 +54,9 @@ def test_two_cycles_and_involutions():
 
 
 def test_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError, match="sizes"):
         bruhat_leq((1, 2), (1, 2, 3))
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError, match="sizes"):
         compose((1, 2), (1, 2, 3))
 
 

@@ -83,7 +83,7 @@ def test_subalgebra_witness_exhaustive():
 
 
 def test_dimensions_chain6(chain6):
-    dims = dimensions(chain6)
+    dims = dimensions(chain6, mp_sets(chain6).m_cells)
     assert dims.m_size == 2
     assert dims.dim_theta == 4
     assert dims.length == 10
@@ -93,12 +93,12 @@ def test_dimensions_chain6(chain6):
 
 
 def test_dimensions_empty():
-    dims = dimensions(placement(4, []))
+    dims = dimensions(placement(4, []), frozenset())
     assert (dims.m_size, dims.dim_theta, dims.dim_omega, dims.length) == (0, 0, 0, 0)
 
 
 def test_dimensions_golden(golden8):
-    dims = dimensions(golden8)
+    dims = dimensions(golden8, mp_sets(golden8).m_cells)
     assert dims.m_size == 6
     assert dims.dim_theta == 12
     assert dims.dim_omega == 17
@@ -108,7 +108,7 @@ def test_dimensions_golden(golden8):
 def test_dimension_bounds_exhaustive():
     for n in range(1, 8):
         for D in enumerate_placements(n):
-            dims = dimensions(D)  # raises BoundViolation on any breach
+            dims = dimensions(D, mp_sets(D).m_cells)  # raises BoundViolation on any breach
             assert dims.dim_theta <= dims.length - dims.d_size
             assert dims.dim_omega <= dims.length
 
@@ -173,7 +173,7 @@ def test_support_certificate_matches_dense_action(monkeypatch):
 
 def test_support_certificate_golden(golden8):
     cert = _support_certificate(golden8, mp_sets(golden8).m_cells)
-    dims = dimensions(golden8)
+    dims = dimensions(golden8, mp_sets(golden8).m_cells)
     assert (cert.cycle, cert.matching, cert.isotropy) == (None, 12, None)
     assert dims.dim_omega == 12 + 5 and dims.dim_theta == 12
     assert _support_certificate(placement(3, []), frozenset()) == SupportCertificate(None, 0, None)
@@ -198,7 +198,7 @@ def test_isotropy_reports_an_edge_between_complement_cells(golden8):
 @given(placements())
 def test_support_certificate_beyond_enumeration(D):
     cert = _support_certificate(D, mp_sets(D).m_cells)
-    dims = dimensions(D)  # raises BoundViolation on any breach
+    dims = dimensions(D, mp_sets(D).m_cells)  # raises BoundViolation on any breach
     assert cert.cycle is None
     assert cert.matching + dims.d_size == dims.dim_omega
     assert cert.matching == dims.dim_theta
