@@ -6,7 +6,6 @@ everywhere else in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import permutations as perms
@@ -26,8 +25,7 @@ def all_lower_cells(n: int) -> list[Cell]:
     return [Cell(i, j) for i in range(2, n + 1) for j in range(1, i)]
 
 
-@dataclass(frozen=True)
-class RookPlacement:
+class RookPlacement(NamedTuple):
     """Non-attacking rooks strictly below the diagonal of an n x n board."""
 
     n: int
@@ -78,8 +76,7 @@ def placement(n: int, cells: Iterable[Sequence[int]]) -> RookPlacement:
 # Rank matrices and the partial order
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(NamedTuple):
     """Entry (i,j), i > j, counts rooks weakly South-West of the cell."""
 
     n: int
@@ -123,8 +120,7 @@ def placement_from_rank_matrix(R: RankMatrix) -> RookPlacement:
 # Chains, permutations, involutions
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     """Partition of {1..n} into the chains linked by rooks and fixed points."""
 
     chains: tuple[tuple[int, ...], ...]

@@ -17,15 +17,14 @@ tangent and pairing matrices, which stay independent of this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .board import Cell, RookPlacement, permutation_of
 from .errors import BoundViolation
 from .permutations import inversions
 
 
-@dataclass(frozen=True)
-class MPData:
+class MPData(NamedTuple):
     """Per-rook mark cells (keyed by rook column, in rook order) and their unions."""
 
     per_rook: tuple[tuple[int, frozenset[Cell], frozenset[Cell]], ...]
@@ -78,8 +77,7 @@ def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None
     return None
 
 
-@dataclass(frozen=True)
-class OrbitDimensions:
+class OrbitDimensions(NamedTuple):
     m_size: int
     d_size: int
     dim_theta: int  # unipotent orbit: 2|M|
@@ -143,8 +141,7 @@ def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy: Edge | None
 Edge = tuple[Cell, Cell]  # (row, column) of one nonzero matrix entry
 
 
-@dataclass(frozen=True)
-class SupportCertificate:
+class SupportCertificate(NamedTuple):
     """The forest test and matching of a placement form's unipotent support, and its isotropy witness."""
 
     cycle: tuple[Edge, ...] | None  # None when the support is a forest

@@ -12,17 +12,16 @@ one diff of a move list against them, for ``verify_covers`` and the
 ``covers --brute-force`` command alike.  The down-sets come from the order
 engine (``_Order``), the only code that compares two placements, at
 essential cells; ``_points_order`` builds every order, this one, the top
-element's and the Bruhat orders of the suites, reading its tables as
-quadrant popcounts.
+element's and the Bruhat orders of the suites, reading a table cell of all
+elements at once as sums of byte strings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import and_
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .board import Cell, RookPlacement, all_lower_cells, placement, to_json
 from .errors import LimitExceeded, NotIndexed, RookError
@@ -48,8 +47,7 @@ class MoveKind(Enum):
     SPLIT = "split"
 
 
-@dataclass(frozen=True)
-class CoverMove:
+class CoverMove(NamedTuple):
     kind: MoveKind
     removed: tuple[Cell, ...]
     added: tuple[Cell, ...]
@@ -106,141 +104,131 @@ def bell_number(n: int) -> int:
 # The move calculus
 
 
-def _occupancy(rooks: Sequence[Cell]) -> tuple[int, int]:
-    """Occupied rows and columns as bit masks: bit k is set iff index k is used."""
-    rows = cols = 0
-    for i, j in rooks:
-        rows |= 1 << i
-        cols |= 1 << j
-    return rows, cols
-
-
-def _next_gap(mask: int, k: int) -> int:
-    """The smallest index above k whose bit in ``mask`` is clear."""
-    clear = ~mask >> (k + 1)
-    return k + (clear & -clear).bit_length()
-
-
-def _prev_gap(mask: int, k: int) -> int:
-    """The largest index below k whose bit in ``mask`` is clear (indices start at 1, so >= 0)."""
-    return (~mask & ((1 << k) - 1)).bit_length() - 1
-
-
-def _dominated(rooks: Sequence[Cell]) -> list[list[Cell]]:
-    """Per rook (i, j), the other rooks strictly South-West of it.
-
-    Rooks are column-sorted and never share a row or column, so these are the
-    later rooks with a smaller row.
-    """
-    return [[c for c in rooks[p + 1 :] if c.row < i] for p, (i, j) in enumerate(rooks)]
-
-
 def _key(D: RookPlacement) -> int:
     """D packed into one int: each rook (i, j) puts j in bits [w*i, w*i + w), w = n.bit_length().
 
     Rows are distinct and 0 < j < 2**w, so the key determines the rooks.
     """
     w = D.n.bit_length()
-    return sum(j << w * i for i, j in D.rooks)
-
-
-def _moved_key(
-    D: RookPlacement,
-    rows: int,
-    cols: int,
-    key: int,
-    removed: tuple[Cell, ...],
-    added: tuple[Cell, ...],
-) -> int:
-    """The key of D without ``removed`` and with ``added``, testing only the added cells.
-
-    ``rows``, ``cols`` and ``key`` are D's occupancy masks and key.  The rooks
-    that stay come from a valid placement, so only an added cell can leave
-    the board or attack; when one does, ``placement`` is given the rooks that
-    stay followed by the added ones and raises its own error.
-    """
-    n = D.n
-    w = n.bit_length()
-    for i, j in removed:
-        rows ^= 1 << i
-        cols ^= 1 << j
-        key ^= j << w * i
-    for i, j in added:
-        if not 1 <= j < i <= n or (rows >> i | cols >> j) & 1:
-            placement(n, [c for c in D.rooks if c not in removed] + list(added))
-        rows |= 1 << i
-        cols |= 1 << j
+    key = 0
+    for i, j in D.rooks:
         key |= j << w * i
     return key
 
 
-Step = tuple[MoveKind, tuple[Cell, ...], tuple[Cell, ...], int]  # kind, removed, added, key
+def _check_added(D: RookPlacement, rows: int, cols: int, removed: tuple, added: tuple) -> None:
+    """Raise what ``placement`` raises when an added cell leaves the board or attacks.
+
+    ``rows`` and ``cols`` are D's occupied rows and columns as bit masks.  The
+    rooks that stay come from a valid placement, so only an added cell can be
+    at fault; ``placement`` is then given the rooks that stay followed by the
+    added ones.
+    """
+    for i, j in removed:
+        rows ^= 1 << i
+        cols ^= 1 << j
+    for i, j in added:
+        if not 1 <= j < i <= D.n or (rows >> i | cols >> j) & 1:
+            placement(D.n, [c for c in D.rooks if c not in removed] + list(added))
+        rows |= 1 << i
+        cols |= 1 << j
 
 
-def _steps(D: RookPlacement) -> Iterator[Step]:
+Step = tuple[MoveKind, tuple[Cell, ...], tuple[tuple[int, int], ...], int]  # kind, removed, added, key
+
+
+def _steps(D: RookPlacement) -> list[Step]:
     """Every guarded move out of D (see ``cover_moves``): (kind, removed, added, result key).
 
     D must be a valid placement.  Its occupied rows, occupied columns and
-    doubly occupied indices are read once as bit masks, so every interval
-    guard is a mask test, and each rook's dominated rooks are listed once.
-    Each step checks only its added cells, against the rows and columns of
-    the rooks that stay (``_moved_key``), and builds no placement.  Two steps
-    may reach the same placement; the order of the steps is deterministic.
+    doubly occupied indices are read once as bit masks, with the rows of
+    each prefix of its rooks, so every guard is a mask test, those on the
+    dominated rooks included.  One pass over the rooks collects the steps of
+    each family.  A step's key is D's ``_key`` updated by the cells it moves; its
+    added cells are plain (row, column) pairs, tested by ``_check_added``,
+    and no placement is built.  Two steps may reach the same placement; the
+    steps come family by family, in the order of their rooks.
     """
-    rooks = D.rooks
-    rows, cols = _occupancy(rooks)
-    both = rows & cols
+    n, rooks = D.n, D.rooks
+    w = n.bit_length()
     key = _key(D)
-    dominated = _dominated(rooks)
-
-    def step(kind: MoveKind, removed: tuple[Cell, ...], added: tuple[Cell, ...]) -> Step:
-        return kind, removed, added, _moved_key(D, rows, cols, key, removed, added)
-
-    # a minimal rook (i, j) is removable when every index strictly between j
-    # and i is doubly occupied: a free row k would leave the strictly
-    # intermediate D - (i, j) + (k, j), a free column likewise
-    minimal = [c for c, below in zip(rooks, dominated) if not below]
-    for cell in sorted(c for c in minimal if _next_gap(both, c.col) >= c.row):
-        yield step(MoveKind.REMOVE, (cell,), ())
-
-    for cell, below in zip(rooks, dominated):
-        i, j = cell
-        # (i, j) slides to the first free column and to the last free row
-        # strictly between j and i; the rooks below (i, j) stay below the
-        # slid rook, and no row in (j, right], no column in [up, i), is free
-        right, up = _next_gap(cols, j), _prev_gap(rows, i)
-        if right < i and _next_gap(rows, j) > right and all(c.col >= right for c in below):
-            yield step(MoveKind.SLIDE_RIGHT, (cell,), (Cell(i, right),))
-        if up > j and _prev_gap(cols, i) < up and all(c.row <= up for c in below):
-            yield step(MoveKind.SLIDE_UP, (cell,), (Cell(up, j),))
-
+    rows = cols = 0
+    upto = [0]  # upto[k]: the rows of the first k rooks
+    for i, j in rooks:
+        rows |= 1 << i
+        cols |= 1 << j
+        upto.append(rows)
+    both = rows & cols
+    removes, slides, exchanges, splits = [], [], [], []
     for p, cell in enumerate(rooks):
+        i, j = cell
+        removed = (cell,)
+        inside = (1 << i) - (2 << j)  # the indices strictly between j and i
+        # the rooks strictly South-West of (i, j) are the later ones with a
+        # smaller row, and those among them with a column below c are the
+        # rooks next after (i, j) in the columns strictly between j and c
+        here = upto[p + 1]
+        later = rows ^ here
+
+        # a minimal rook is removable when every index strictly between j
+        # and i is doubly occupied: a free row k would leave the strictly
+        # intermediate D - (i, j) + (k, j), a free column likewise (the
+        # minimal rooks ascend in row as in column, so these come sorted)
+        if not later & (1 << i) - 1 and not ~both & inside:
+            removes.append((MoveKind.REMOVE, removed, (), key - (j << w * i)))
+
+        # (i, j) slides to the first free column and to the last free row
+        # strictly between j and i, when no row in (j, right], no column in
+        # [up, i), is free, and the rooks below (i, j) stay below the slid
+        # rook: none has a column below right or a row above up
+        free = ~cols & inside
+        right = (free & -free).bit_length() - 1
+        if free and not ~rows & (2 << right) - (2 << j) and not (upto[p + right - j] ^ here) & (1 << i) - 1:
+            added = ((i, right),)
+            _check_added(D, rows, cols, removed, added)
+            slides.append((MoveKind.SLIDE_RIGHT, removed, added, key + (right - j << w * i)))
+        free = ~rows & inside  # the free rows a with j < a < i
+        up = free.bit_length() - 1
+        if up > j and not ~cols & (1 << i) - (1 << up) and not later & (1 << i) - (2 << up):
+            added = ((up, j),)
+            _check_added(D, rows, cols, removed, added)
+            slides.append((MoveKind.SLIDE_UP, removed, added, key - (j << w * i) + (j << w * up)))
+
         # the partners are the rooks with a smaller column and a larger row
         # than cell and no rook between; scanning down the columns, ceiling
         # is the lowest such row seen so far
-        i, j = cell
         partners = []
-        ceiling = D.n + 1
-        for other in reversed(rooks[:p]):
-            if i < other.row < ceiling:
-                partners.append(other)
-                ceiling = other.row
+        if upto[p] >> i:  # some earlier rook has a larger row
+            ceiling = n + 1
+            for other in reversed(rooks[:p]):
+                if i < other[0] < ceiling:
+                    partners.append(other)
+                    ceiling = other[0]
         for other in reversed(partners):
             a, b = other
-            yield step(MoveKind.EXCHANGE, (cell, other), (Cell(i, b), Cell(a, j)))
+            added = ((i, b), (a, j))
+            _check_added(D, rows, cols, (cell, other), added)
+            moved = key + (b - j) * ((1 << w * i) - (1 << w * a))
+            exchanges.append((MoveKind.EXCHANGE, (cell, other), added, moved))
 
-    for cell, below in zip(rooks, dominated):
-        i, j = cell
-        free = ~rows & (1 << i) - (2 << j)  # the free rows a with j < a < i
         while free:
             a = (free & -free).bit_length() - 1
             free &= free - 1
             # column b must be free with (a, b) doubly occupied: b = a when
             # column a is free, else the first index above a that is not
-            # doubly occupied, which must then be an occupied row
-            b = _next_gap(both, a) if cols >> a & 1 else a
-            if b < i and (b == a or rows >> b & 1) and all(c.row <= a or c.col >= b for c in below):
-                yield step(MoveKind.SPLIT, (cell,), (Cell(i, b), Cell(a, j)))
+            # doubly occupied, which must then be an occupied row; and no
+            # rook below (i, j) with a column below b may have a row above a
+            b = a
+            if cols >> a & 1:
+                gaps = ~both >> a + 1
+                b += (gaps & -gaps).bit_length()
+            if b < i and (b == a or rows >> b & 1):
+                under = upto[p + 1 + (cols & (1 << b) - (2 << j)).bit_count()] ^ here
+                if not under & (1 << i) - (2 << a):
+                    added = ((i, b), (a, j))
+                    _check_added(D, rows, cols, removed, added)
+                    splits.append((MoveKind.SPLIT, removed, added, key + (b - j << w * i) + (j << w * a)))
+    return removes + slides + exchanges + splits
 
 
 def cover_moves(D: RookPlacement) -> list[CoverMove]:
@@ -261,11 +249,12 @@ def cover_moves(D: RookPlacement) -> list[CoverMove]:
     D must be a valid placement.  The moves are the steps of ``_steps``;
     distinct moves reaching the same placement are merged (same key, first
     tag wins; generation order is deterministic), and only the first builds
-    its result.
+    its result and makes its added cells ``Cell``s.
     """
     found: dict[int, CoverMove] = {}
     for kind, removed, added, key in _steps(D):
         if key not in found:
+            added = tuple(Cell(i, j) for i, j in added)
             rest = [c for c in D.rooks if c not in removed] + list(added)
             rest.sort(key=lambda c: c.col)
             found[key] = CoverMove(kind, removed, added, RookPlacement(D.n, tuple(rest)))
@@ -322,41 +311,48 @@ class _Masks(dict):
     """Threshold masks by (cell, value): {p : T_p(cell) <= value} as an int, position p at bit p.
 
     The first time a cell is asked for, the masks of all its values are read
-    off ``column(cell)``, T_p(cell) for every position p, in one pass: the
-    values, coded by rank (at most 256 of them), become the digits "1" and
-    "0" by ``bytes.translate`` and are parsed as a binary number.
+    off ``column(cell)``, the bytes T_p(cell) over every position p: per
+    value, ``bytes.translate`` turns them into the digits "1" and "0", which
+    are parsed as a binary number.
     """
 
-    def __init__(self, column: Callable[[object], Sequence[int]]):
+    def __init__(self, column: Callable[[object], bytes]):
         self.column = column
 
     def __missing__(self, pair: tuple) -> int:
-        col = self.column(pair[0])
-        values = sorted(set(col))
-        code = bytes(map({v: r for r, v in enumerate(values)}.__getitem__, reversed(col)))
-        for r, v in enumerate(values):
-            self[pair[0], v] = int(code.translate(b"1" * (r + 1) + b"0" * (255 - r)), 2)
+        cell = pair[0]
+        col = self.column(cell)[::-1]  # position 0 is the last digit
+        for v in set(col):
+            self[cell, v] = int(col.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
         if pair not in self:
-            raise KeyError(f"value {pair[1]} is not in the column of cell {pair[0]}")
+            raise KeyError(f"value {pair[1]} is not in the column of cell {cell}")
         return self[pair]
 
 
 class _Order:
-    """An order on elements at bit positions 0, 1, ..., compared at essential cells.
+    """An order on elements at bit positions 0, 1, ..., size - 1, compared at essential cells.
 
-    ``essential`` yields, per position q, the essential cells c of q's table
-    with their values T_q(c), and p <= q iff T_p(c) <= T_q(c) at all of them;
-    ``column(c)`` lists T_p(c) over all p.  Down(q) is the AND of q's
-    threshold masks (``_Masks``), built when asked for; none is kept.
+    ``essential(q)`` yields the essential cells c of q's table with their
+    values T_q(c), and p <= q iff T_p(c) <= T_q(c) at all of them;
+    ``column(c)`` holds T_p(c) at byte p, so every value is below 256.
+    Down(q) is the AND of q's threshold masks (``_Masks``), whose tuple is
+    built the first time q is read; no down-set is kept.
     """
 
-    def __init__(self, essential: Iterable[Iterable[tuple]], column: Callable[[object], Sequence[int]]):
-        masks = _Masks(column)
-        self._masks = [tuple(map(masks.__getitem__, cells)) for cells in essential]
-        self._all = (1 << len(self._masks)) - 1
+    def __init__(self, size: int, essential: Callable[[int], Iterable], column: Callable[[object], bytes]):
+        self._essential = essential
+        self._thresholds = _Masks(column)
+        self._masks: list[tuple[int, ...] | None] = [None] * size
+        self._all = (1 << size) - 1
+
+    def masks(self, q: int) -> tuple[int, ...]:
+        held = self._masks[q]
+        if held is None:
+            held = self._masks[q] = tuple(map(self._thresholds.__getitem__, self._essential(q)))
+        return held
 
     def down(self, q: int) -> int:
-        return reduce(and_, self._masks[q], self._all)
+        return reduce(and_, self.masks(q), self._all)
 
     def lower_covers(self, q: int) -> list[int]:
         """Positions of q's lower covers, highest first, when positions ascend along a linear extension.
@@ -364,7 +360,7 @@ class _Order:
         The highest position t left in Down(q) - {q} is under no cover found so far, so it
         is a cover; clearing Down(t), built within the positions left, removes only non-covers.
         """
-        rest = reduce(and_, self._masks[q], (2 << q) - 1) ^ 1 << q
+        rest = reduce(and_, self.masks(q), (2 << q) - 1) ^ 1 << q
         found = []
         t = q
         while rest:
@@ -372,25 +368,27 @@ class _Order:
             if t == last:  # a position missing from its own down-set is never cleared
                 raise ValueError(f"position {t} is not in its own down-set")
             found.append(t)
-            rest ^= reduce(and_, self._masks[t], rest)
+            rest ^= reduce(and_, self.masks(t), rest)
         return found
 
 
 def _points_order(points: Sequence[Sequence[int]], band: int) -> _Order:
     """The order of the point lists ``points`` at their positions, by their tables (see ``_essential``).
 
-    A list of m points is held as one int, bit x(m + 1) + y set for its point
-    y in row x + 1, so T(I, J) is its popcount in the quadrant of rows <= I,
-    columns >= J; a 0 (no point) lies in no quadrant.
+    The lists have one length m and points below 256.  Row x of them all is
+    held as bytes, byte p the point of list p, and nothing else is kept.  So T(I, J) over all
+    positions is the sum of the rows <= I translated to 1 where the point is
+    >= J and 0 elsewhere (a 0, no point, is never counted), added as ints
+    with one byte per position: no count reaches 256.
     """
-    width = max(map(len, points), default=0) + 1
-    packed = [sum(1 << x * width + y for x, y in enumerate(p)) for p in points]
+    rows = [bytes(row) for row in zip(*points)]
 
-    def column(cell: tuple[int, int]) -> list[int]:
-        quadrant = ((1 << cell[0] * width) - 1) // ((1 << width) - 1) * ((1 << width) - (1 << cell[1]))
-        return [(a & quadrant).bit_count() for a in packed]
+    def column(cell: tuple[int, int]) -> bytes:
+        at_least = bytes(v >= cell[1] for v in range(256))
+        total = sum(int.from_bytes(row.translate(at_least), "little") for row in rows[: cell[0]])
+        return total.to_bytes(len(points), "little")
 
-    return _Order((_essential(p, band) for p in points), column)
+    return _Order(len(points), lambda q: _essential([row[q] for row in rows], band), column)
 
 
 # ---------------------------------------------------------------------------

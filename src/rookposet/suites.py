@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -38,12 +37,11 @@ DEFAULT_SAMPLES = 100
 DEFAULT_BOUND = 3
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     n: int
     checked: int
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
     seed: int = 0
     millis: int = 0
 
@@ -52,7 +50,7 @@ class VerificationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _rng_for(seed: int, position: int) -> random.Random:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -304,6 +303,23 @@ def test_exhaustive_suites_leave_numpy_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the records are NamedTuples, so importing the CLI loads neither
+    # dataclasses nor what it pulls in (inspect, ast, dis, tokenize)
+    code = textwrap.dedent(
+        """
+        import sys
+        import rookposet.cli
+        print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)))
+        """
+    )
+    src = str(Path(rookposet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 THM24_TARGET = placement(4, [(3, 1), (4, 2)])
 THM24_TARGET_JSON = {"n": 4, "rooks": [[3, 1], [4, 2]]}
 
@@ -373,7 +389,7 @@ def test_thm24_reports_raised_matchings(monkeypatch, capsys):
 
     def support_certificate(D, m_cells):
         cert = real(D, m_cells)
-        return dataclasses.replace(cert, matching=cert.matching + 1) if D == THM24_TARGET else cert
+        return cert._replace(matching=cert.matching + 1) if D == THM24_TARGET else cert
 
     monkeypatch.setattr(suites, "_support_certificate", support_certificate)
     assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [

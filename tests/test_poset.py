@@ -30,10 +30,9 @@ from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard
 from rookposet.poset import (
+    _check_added,
     _essential,
     _key,
-    _moved_key,
-    _occupancy,
     _Order,
     _rank_points,
     _steps,
@@ -223,22 +222,35 @@ def test_cover_moves_match_reference(n):
     ],
 )
 def test_moved_raises_what_placement_raises(removed, added):
+    # the one added-cell test of the move calculus, on plain (row, column)
+    # pairs as the steps add them, given D's occupied rows and columns
     D = placement(6, [(3, 1), (6, 2), (5, 4)])
-    added = tuple(Cell(*c) for c in added)
     cells = [c for c in D.rooks if c not in removed] + list(added)
+    rows, cols = sum(1 << i for i, _ in D.rooks), sum(1 << j for _, j in D.rooks)
 
     def moved():
-        return _moved_key(D, *_occupancy(D.rooks), _key(D), removed, added)
+        return _check_added(D, rows, cols, removed, added)
 
     try:
-        expected = placement(6, cells)
+        placement(6, cells)
     except (OutOfBoard, AttackingRooks) as exc:
         with pytest.raises(type(exc)) as got:
             moved()
         assert str(got.value) == str(exc)
         assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
     else:
-        assert moved() == _key(expected)
+        assert moved() is None
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_step_keys_are_the_keys_of_their_results(n):
+    # each family updates the key arithmetically; the merge in cover_moves
+    # keeps only the first step per key, so a wrong update in a later step
+    # would not show in the moves
+    for D in enumerate_placements(n):
+        for kind, removed, added, key in _steps(D):
+            kept = [c for c in D.rooks if c not in removed]
+            assert key == _key(placement(n, kept + list(added))), (D, kind)
 
 
 def test_move_soundness_exhaustive():
@@ -323,8 +335,9 @@ def test_index_matches_dense_oracles(n):
 
 
 def every_column(rows):
-    """The order of ``rows`` at their positions, with every column listed as essential."""
-    return _Order((list(enumerate(row)) for row in rows), lambda c: [row[c] for row in rows])
+    """The order of ``rows`` (entries from -128 to 127) at their positions, every column essential."""
+    rows = [[v + 128 for v in row] for row in rows]
+    return _Order(len(rows), lambda q: enumerate(rows[q]), lambda c: bytes(row[c] for row in rows))
 
 
 def down_matrix(order):
@@ -362,7 +375,7 @@ def test_order_lower_covers_on_random_distinct_rows():
 def test_position_missing_from_its_own_down_set_fails():
     # a table whose essential value undercuts its own column entry would
     # leave its own bit set for ever; the peel raises instead
-    order = _Order([[(0, 1)], [(0, 1)]], lambda c: [1, 2])
+    order = _Order(2, lambda q: [(0, 1)], lambda c: bytes([1, 2]))
     assert order.down(1) == 0b01
     with pytest.raises(ValueError, match="own down-set"):
         order.lower_covers(1)
