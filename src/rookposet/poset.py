@@ -10,18 +10,20 @@ lower covers from scratch, from bit-packed down-sets of the rank-matrix
 order along a linear extension, and ``PosetIndex.cover_mismatch`` is the
 one diff of a move list against them, for ``verify_covers`` and the
 ``covers --brute-force`` command alike.  The down-sets come from the order
-engine (``_Order``), the only code that compares two placements, at
-essential cells; ``_points_order`` builds every order, this one, the top
-element's and the Bruhat orders of the suites, reading a table cell of all
-elements at once as sums of byte strings.
+engine, the only code that compares two placements: an AND of threshold
+masks (``_threshold``) at essential cells.  ``_cells`` finds the essential
+cells of all elements at once, in one pass over their point lists held as
+byte rows; ``_points_order`` hands each element the tuple of its masks
+from that pass (``_Order``), for this order and the Bruhat orders of the
+suites, and ``d0max`` reads only the top element's cells.
 """
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import and_
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .board import Cell, RookPlacement, all_lower_cells, placement, to_json
 from .errors import LimitExceeded, NotIndexed, RookError
@@ -33,8 +35,9 @@ if TYPE_CHECKING:
 ENUM_LIMIT = 9
 #: ceiling for the all-pairs index, which keeps no down-sets and no rank
 #: tables: at n=9 (21147 placements, 126 487 cover edges) it holds 70
-#: threshold masks, 0.2 MB, per placement a tuple of its masks, 1.5 MB, and
-#: its key and position maps, 5.4 MB in all; numpy is loaded only for the
+#: threshold masks, 0.2 MB, per placement the tuple of its masks, all built
+#: in one pass at set-up, 1.7 MB, and its key and position maps, 5.4 MB in
+#: all, with a peak of 8 MB while it is built; numpy is loaded only for the
 #: dense views (``le``, ``covers``)
 INDEX_LIMIT = 9
 
@@ -265,38 +268,47 @@ def cover_moves(D: RookPlacement) -> list[CoverMove]:
 # The order engine
 
 
-def _essential(points: Sequence[int], band: int) -> list[tuple[tuple[int, int], int]]:
-    """((I, J), T(I, J)) at the essential cells of T(I, J) = #{x <= I : points[x - 1] >= J}.
+def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], bytes, bytes]]:
+    """Per cell (I, J), the tables T(I, J) = #{x <= I : point of row x >= J} of all point lists at once.
 
-    Row x has its point at column ``points[x - 1]`` (0: none; no two share a
-    column), and T lives on the cells 1 <= I, J <= m with J - I >= band.  A
-    table T' there is <= T iff it is at T's essential cells (Fulton): T' is
-    monotone with steps of 0 or 1, so a cell follows from a neighbour unless
-    N: row I has no point at a column >= J; E: column J has none at a row <=
-    I; S: (I + 1, J) is off the table or row I + 1 has its point at a column
-    >= J; W: (I, J - 1) is off the table or column J - 1 has its point at a
-    row <= I.  ``seen`` marks the columns of the rows <= I: E and W pick the
-    starts of its gaps, N and S bound J, and S and W hold at J = I + band.
+    ``rows[x - 1]`` holds row x of every list, byte p the column of list p's
+    point there (0: none; no two rows of a list share a column), and T lives
+    on the cells 1 <= I, J <= m with J - I >= band.  A table T' there is <= T
+    iff it is at T's essential cells (Fulton): T' is monotone with steps of 0
+    or 1, so a cell follows from a neighbour unless N: row I has no point at
+    a column >= J; E: column J has none at a row <= I; S: (I + 1, J) is off
+    the table or row I + 1 has its point at a column >= J; W: (I, J - 1) is
+    off the table or column J - 1 has its point at a row <= I.  Each test is
+    an int with one byte, 0 or 1, per list: T(I, J) sums the rows <= I read
+    as 1 where the point is >= J, and column J has a point at a row <= I
+    where T(I, J) - T(I, J + 1) is 1; as m < 255, no byte carries.  Yields
+    each cell essential for some list, T(I, J) as bytes, and key bytes:
+    T(I, J) + 1 for the lists the cell is essential for, 0 for the others.
     """
-    m = len(points)
-    out = []
-    seen = 0
-    for I, (y, below) in enumerate(zip(points, [*points[1:], m]), start=1):
-        if y:
-            seen |= 1 << y
-        lo = I + band - 1
-        cand = 0
-        if y > lo:
-            lo = y
-        elif lo < m and not seen >> lo + 1 & 1:
-            cand = 1 << lo + 1  # the edge cell
-        if below > lo:  # the last row has no row below: there S bounds J by m
-            cand |= ((seen << 1) | 2) & ~seen & ((2 << below) - (2 << lo))
-        while cand:
-            J = (cand & -cand).bit_length() - 1
-            out.append(((I, J), (seen >> J).bit_count()))
-            cand &= cand - 1
-    return out
+    size, m = len(rows[0]), len(rows)
+    ones = int.from_bytes(b"\1" * size, "little")
+    tables = [bytes(J) + b"\1" * (256 - J) for J in range(m + 1)]  # byte v to 1 iff v >= J
+    # each row read as 1 at index J where its point is >= J; below the last row S holds
+    reads = ([int.from_bytes(row.translate(table), "little") for table in tables] for row in rows)
+    reads = chain(reads, [[ones] * (m + 1)])
+    total = [0] * (m + 2)  # total[J] = T(I, J), and T(I, m + 1) = 0
+    here = next(reads)
+    for I, below in enumerate(reads, start=1):
+        for J in range(1, m + 1):
+            total[J] += here[J]
+        for J in range(max(1, I + band), m + 1):
+            flags = (here[J] | total[J] - total[J + 1]) ^ ones  # N and E
+            if J > I + band:  # on the band's edge J = I + band, S and W hold
+                flags &= below[J] & (total[J - 1] - total[J] if J > 1 else ones)
+            if flags:
+                key = (total[J] + ones) & flags * 255
+                yield (I, J), total[J].to_bytes(size, "little"), key.to_bytes(size, "little")
+        here = below
+
+
+def _threshold(column: bytes, v: int) -> int:
+    """{p : column[p] <= v} as an int, position p at bit p: the bytes, last first, as binary digits."""
+    return int(column[::-1].translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
 
 
 def _rank_points(D: RookPlacement) -> list[int]:
@@ -307,52 +319,20 @@ def _rank_points(D: RookPlacement) -> list[int]:
     return points
 
 
-class _Masks(dict):
-    """Threshold masks by (cell, value): {p : T_p(cell) <= value} as an int, position p at bit p.
-
-    The first time a cell is asked for, the masks of all its values are read
-    off ``column(cell)``, the bytes T_p(cell) over every position p: per
-    value, ``bytes.translate`` turns them into the digits "1" and "0", which
-    are parsed as a binary number.
-    """
-
-    def __init__(self, column: Callable[[object], bytes]):
-        self.column = column
-
-    def __missing__(self, pair: tuple) -> int:
-        cell = pair[0]
-        col = self.column(cell)[::-1]  # position 0 is the last digit
-        for v in set(col):
-            self[cell, v] = int(col.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
-        if pair not in self:
-            raise KeyError(f"value {pair[1]} is not in the column of cell {cell}")
-        return self[pair]
-
-
 class _Order:
-    """An order on elements at bit positions 0, 1, ..., size - 1, compared at essential cells.
+    """An order on elements at bit positions 0, 1, ..., size - 1, by the threshold masks of each.
 
-    ``essential(q)`` yields the essential cells c of q's table with their
-    values T_q(c), and p <= q iff T_p(c) <= T_q(c) at all of them;
-    ``column(c)`` holds T_p(c) at byte p, so every value is below 256.
-    Down(q) is the AND of q's threshold masks (``_Masks``), whose tuple is
-    built the first time q is read; no down-set is kept.
+    ``masks[q]`` holds, per essential cell c of q's table, {p : T_p(c) <= T_q(c)}
+    with position p at bit p, so p <= q iff p is in all of them and Down(q)
+    is their AND; no down-set is kept.
     """
 
-    def __init__(self, size: int, essential: Callable[[int], Iterable], column: Callable[[object], bytes]):
-        self._essential = essential
-        self._thresholds = _Masks(column)
-        self._masks: list[tuple[int, ...] | None] = [None] * size
-        self._all = (1 << size) - 1
-
-    def masks(self, q: int) -> tuple[int, ...]:
-        held = self._masks[q]
-        if held is None:
-            held = self._masks[q] = tuple(map(self._thresholds.__getitem__, self._essential(q)))
-        return held
+    def __init__(self, masks: list[tuple[int, ...]]):
+        self._masks = masks
+        self._all = (1 << len(masks)) - 1
 
     def down(self, q: int) -> int:
-        return reduce(and_, self.masks(q), self._all)
+        return reduce(and_, self._masks[q], self._all)
 
     def lower_covers(self, q: int) -> list[int]:
         """Positions of q's lower covers, highest first, when positions ascend along a linear extension.
@@ -360,7 +340,8 @@ class _Order:
         The highest position t left in Down(q) - {q} is under no cover found so far, so it
         is a cover; clearing Down(t), built within the positions left, removes only non-covers.
         """
-        rest = reduce(and_, self.masks(q), (2 << q) - 1) ^ 1 << q
+        masks = self._masks
+        rest = reduce(and_, masks[q], (2 << q) - 1) ^ 1 << q
         found = []
         t = q
         while rest:
@@ -368,27 +349,27 @@ class _Order:
             if t == last:  # a position missing from its own down-set is never cleared
                 raise ValueError(f"position {t} is not in its own down-set")
             found.append(t)
-            rest ^= reduce(and_, self.masks(t), rest)
+            rest ^= reduce(and_, masks[t], rest)
         return found
 
 
-def _points_order(points: Sequence[Sequence[int]], band: int) -> _Order:
-    """The order of the point lists ``points`` at their positions, by their tables (see ``_essential``).
+def _points_order(points: Iterable[Sequence[int]], band: int) -> _Order:
+    """The order of the point lists at their positions, by their tables (see ``_cells``).
 
-    The lists have one length m and points below 256.  Row x of them all is
-    held as bytes, byte p the point of list p, and nothing else is kept.  So T(I, J) over all
-    positions is the sum of the rows <= I translated to 1 where the point is
-    >= J and 0 elsewhere (a 0, no point, is never counted), added as ints
-    with one byte per position: no count reaches 256.
+    The lists, of one length m, are read once into rows, so a caller that
+    passes a generator holds none of them while the masks are built.  At each
+    cell, the positions it is essential for share one threshold mask per
+    value; they are picked out of the key bytes by ``compress``.
     """
     rows = [bytes(row) for row in zip(*points)]
-
-    def column(cell: tuple[int, int]) -> bytes:
-        at_least = bytes(v >= cell[1] for v in range(256))
-        total = sum(int.from_bytes(row.translate(at_least), "little") for row in rows[: cell[0]])
-        return total.to_bytes(len(points), "little")
-
-    return _Order(len(points), lambda q: _essential([row[q] for row in rows], band), column)
+    positions = range(len(rows[0]))
+    masks: list[tuple[int, ...]] = [()] * len(positions)
+    for _, column, key in _cells(rows, band):
+        values = key.translate(None, b"\0")  # the keys of the flagged positions, in position order
+        shared = {k: (_threshold(column, k - 1),) for k in set(values)}
+        for p, mask in zip(compress(positions, key), map(shared.__getitem__, values)):
+            masks[p] += mask
+    return _Order(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +381,7 @@ class PosetIndex:
 
     D <= E iff D's rank matrix is entrywise at most E's, so sorted by their
     rank-matrix sums the placements form a linear extension, ``_by_position``,
-    in which ``_order`` holds them as the points of their rank matrices
+    in which ``_order`` holds the masks read off their rank matrices' points
     (``_rank_points``); lower covers are peeled from it on request.
     A placement's id is its place in the enumeration, looked up by its
     packed key (``_key``) in ``index_of``.  The dense order
@@ -419,7 +400,7 @@ class PosetIndex:
         sums = [sum((a - b) * (a - b + 1) // 2 for a, b in D.rooks) for D in placements]
         self._by_position = sorted(range(len(placements)), key=sums.__getitem__)
         self._position = sorted(range(len(placements)), key=self._by_position.__getitem__)
-        self._order = _points_order([_rank_points(placements[k]) for k in self._by_position], 1)
+        self._order = _points_order((_rank_points(placements[k]) for k in self._by_position), 1)
 
     @property
     def le(self) -> np.ndarray:
@@ -451,9 +432,17 @@ class PosetIndex:
         """Ids of the immediate predecessors of placement d, ascending."""
         return sorted(map(self._by_position.__getitem__, self._order.lower_covers(self._position[d])))
 
-    def cover_mismatch(self, d: int, got: Iterable[int]) -> dict | None:
-        """None if ``got`` are exactly the ids of d's lower covers, else the missing and extra ones, by id."""
-        got, expected = set(got), set(self.lower_cover_ids(d))
+    def cover_mismatch(self, d: int, got: Sequence[int]) -> dict | None:
+        """None if ``got`` are exactly the ids of d's lower covers, else the missing and extra ones, by id.
+
+        A match is tested as the peel's list of positions, highest first; a
+        repeated id fails that test and, like any other, goes to the set diff.
+        """
+        position = self._position
+        covers = self._order.lower_covers(position[d])
+        if sorted(map(position.__getitem__, got), reverse=True) == covers:
+            return None
+        got, expected = set(got), set(map(self._by_position.__getitem__, covers))
         if got == expected:
             return None
         return {

@@ -23,9 +23,11 @@ from .errors import BoundViolation
 from .exactlin import _integer_action, random_scalars, random_upper, rank_profile
 from .polarization import _support_certificate, dimensions, mp_sets, polarization_clauses
 from .poset import (
+    _cells,
     _Order,
     _points_order,
     _rank_points,
+    _threshold,
     bell_number,
     enumerate_placements,
     maximal_element,
@@ -201,8 +203,8 @@ def _proctor(n: int) -> tuple[int, list[dict]]:
 
 def _bruhat_order(idx, perm_of) -> _Order:
     """Bruhat order on ``perm_of`` of the placements, at the index's positions, by dominance tables."""
-    perms = [perm_of(idx.placements[k]) for k in idx._by_position]
-    return _points_order(perms, 1 - len(perms[0]))
+    m = len(perm_of(idx.placements[0]))  # the tables fill the m-square
+    return _points_order((perm_of(idx.placements[k]) for k in idx._by_position), 1 - m)
 
 
 def _pairs(idx, differences: Iterable[int]) -> list[tuple[int, int]]:
@@ -220,8 +222,16 @@ def _d0max(n: int) -> tuple[int, list[dict]]:
     """Every placement sits below the staircase maximal element."""
     everything = enumerate_placements(n)
     top = maximal_element(n)
-    # one order with the top at position 0 and placement k at position k + 1
-    below = _points_order([_rank_points(D) for D in [top, *everything]], 1).down(0) >> 1
+    # the top at position 0 and placement k at position k + 1: Down(top) is the
+    # AND of the thresholds at the top's essential cells, and no other mask is
+    # built; the pass over the board runs only if the top alone has such a cell
+    rows = [bytes(row) for row in zip(*[_rank_points(D) for D in [top, *everything]])]
+    below = (2 << len(everything)) - 1
+    if any(_cells([row[:1] for row in rows], 1)):
+        for _, column, key in _cells(rows, 1):
+            if key[0]:
+                below &= _threshold(column, key[0] - 1)
+    below >>= 1
     failures = [
         {"placement": to_json(D), "top": to_json(top)} for k, D in enumerate(everything) if not below >> k & 1
     ]

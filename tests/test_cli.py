@@ -202,6 +202,21 @@ def test_extra_move_is_verification_failure(monkeypatch, capsys):
     ]
 
 
+def test_repeated_step_is_not_a_failure(monkeypatch, capsys):
+    # a step emitted twice reaches one cover: the position-space match fails
+    # on the repeat, and the set difference of the ids passes it
+    real = poset._steps
+
+    def steps(D):
+        found = real(D)
+        return found + found[:1]
+
+    monkeypatch.setattr(poset, "_steps", steps)
+    assert run(["verify", "--n", "4", "--suite", "thm33", "--json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert (report["checked"], report["failures"]) == (15, [])
+
+
 def test_order_suites_report_planted_faults(monkeypatch, capsys):
     # swapping two doubled involutions breaks cor18 both ways; lifting two
     # attached permutations breaks proctor; witnesses come row-major in (a, b)

@@ -30,12 +30,14 @@ from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard
 from rookposet.poset import (
+    _cells,
     _check_added,
-    _essential,
     _key,
     _Order,
+    _points_order,
     _rank_points,
     _steps,
+    _threshold,
 )
 
 from conftest import broadcast_pairwise_leq, lower_entries, matmul_covers, placements, reference_cover_moves
@@ -337,7 +339,8 @@ def test_index_matches_dense_oracles(n):
 def every_column(rows):
     """The order of ``rows`` (entries from -128 to 127) at their positions, every column essential."""
     rows = [[v + 128 for v in row] for row in rows]
-    return _Order(len(rows), lambda q: enumerate(rows[q]), lambda c: bytes(row[c] for row in rows))
+    columns = [bytes(column) for column in zip(*rows)]
+    return _Order([tuple(map(_threshold, columns, row)) for row in rows])
 
 
 def down_matrix(order):
@@ -375,7 +378,7 @@ def test_order_lower_covers_on_random_distinct_rows():
 def test_position_missing_from_its_own_down_set_fails():
     # a table whose essential value undercuts its own column entry would
     # leave its own bit set for ever; the peel raises instead
-    order = _Order(2, lambda q: [(0, 1)], lambda c: bytes([1, 2]))
+    order = _Order([(_threshold(bytes([1, 2]), 1),)] * 2)
     assert order.down(1) == 0b01
     with pytest.raises(ValueError, match="own down-set"):
         order.lower_covers(1)
@@ -397,6 +400,22 @@ def test_essential_down_sets_match_full_tables(n):
     for name, order in orders.items():
         le = broadcast_pairwise_leq(np.array(tables[name], dtype=np.uint8).reshape(len(ranked), -1))
         assert np.array_equal(down_matrix(order), le), name
+
+
+def essential_sets(lists, band):
+    """Per point list, {((I, J), T(I, J))} at the cells that ``_cells`` flags for it."""
+    out = [set() for _ in lists]
+    for cell, column, key in _cells([bytes(row) for row in zip(*lists)], band):
+        for p, k in enumerate(key):
+            if k:
+                assert column[p] == k - 1, (cell, p)
+                out[p].add((cell, k - 1))
+    return out
+
+
+def point_table(points, I, J):
+    """T(I, J) = #{x <= I : points[x - 1] >= J}, counted."""
+    return sum(1 for y in points[:I] if y >= J)
 
 
 def table_essential(T, on_table):
@@ -423,18 +442,46 @@ def table_essential(T, on_table):
 def test_essential_cells_are_exactly_the_unimplied_entries():
     # the neighbour conditions on the points against the same conditions on
     # the entries of the full tables: no cell is missing and none is extra
+    # (one pass per board and per permutation size, every list in one batch)
     for n in range(1, 7):
-        for D in enumerate_placements(n):
+        everything = enumerate_placements(n)
+        for D, found in zip(everything, essential_sets([_rank_points(D) for D in everything], 1)):
             R = rank_matrix(D)  # entry (i, j) sits at (n + 1 - i, n + 1 - j), on the band J > I
             T = [[0] * (n + 1)] + [
                 [0] + [R.entries[n - I][n - J] if J > I else 0 for J in range(1, n + 1)]
                 for I in range(1, n + 1)
             ]
-            assert set(_essential(_rank_points(D), 1)) == table_essential(T, lambda I, J: J > I), D
+            assert found == table_essential(T, lambda I, J: J > I), D
     for m in range(1, 7):
-        for w in iterperms(range(1, m + 1)):
+        perms = list(iterperms(range(1, m + 1)))
+        for w, found in zip(perms, essential_sets(perms, 1 - m)):
             T = [[0] * (m + 1)] + [[0, *row] for row in dominance_table(w)]
-            assert set(_essential(w, 1 - m)) == table_essential(T, lambda I, J: True), w
+            assert found == table_essential(T, lambda I, J: True), w
+
+
+def test_cells_of_a_list_do_not_depend_on_its_batch():
+    # a carry or a borrow between the bytes of neighbouring lists would make
+    # a list's cells depend on its company: each list alone against the
+    # same list in a shuffled random batch, and every mask in the batch
+    # against its threshold counted from the points
+    rng = random.Random(20)
+    batches = []
+    for n in range(2, 10):
+        everything = enumerate_placements(min(n, 7))
+        batches.append(([_rank_points(rng.choice(everything)) for _ in range(rng.randrange(1, 90))], 1))
+        m = rng.choice([n, 3 * n, 60])
+        batches.append(([rng.sample(range(1, m + 1), m) for _ in range(rng.randrange(1, 90))], 1 - m))
+    for lists, band in batches:
+        rng.shuffle(lists)
+        alone = [essential_sets([points], band)[0] for points in lists]
+        assert essential_sets(lists, band) == alone
+        order = _points_order(lists, band)
+        for q, cells in enumerate(alone):
+            expected = [
+                sum(1 << p for p, points in enumerate(lists) if point_table(points, I, J) <= v)
+                for (I, J), v in sorted(cells)
+            ]
+            assert list(order._masks[q]) == expected, (band, q)
 
 
 def test_engine_counts_at_n8_without_numpy():
@@ -477,14 +524,17 @@ def test_essential_cells_beyond_enumeration(pair, rng):
     assert all(a - b == 1 for a, b in zip(ranks, ranks[1:])), chain
     for E in (chain[-1], unrelated):
         rank_E = rank_matrix(E)
-        essential = _essential(_rank_points(D), 1)
+        [essential] = essential_sets([_rank_points(D)], 1)
         by_cells = all(rank_E.entries[D.n - I][D.n - J] <= v for (I, J), v in essential)
         assert by_cells == leq(E, D)
+        assert _points_order([_rank_points(D), _rank_points(E)], 1).down(0) >> 1 == leq(E, D)
         for perm_of in (kerov_involution, permutation_of):
             v, w = perm_of(E), perm_of(D)
             table = dominance_table(v)
-            by_cells = all(table[I - 1][J - 1] <= x for (I, J), x in _essential(w, 1 - len(w)))
+            [essential] = essential_sets([w], 1 - len(w))
+            by_cells = all(table[I - 1][J - 1] <= x for (I, J), x in essential)
             assert by_cells == bruhat_leq(v, w)
+            assert _points_order([w, v], 1 - len(w)).down(0) >> 1 == bruhat_leq(v, w)
         assert leq(E, D) == bruhat_leq(kerov_involution(E), kerov_involution(D))
 
 
