@@ -11,11 +11,11 @@ order along a linear extension, and ``PosetIndex.cover_mismatch`` is the
 one diff of a move list against them, for ``verify_covers`` and the
 ``covers --brute-force`` command alike.  The down-sets come from the order
 engine, the only code that compares two placements: an AND of threshold
-masks (``_threshold``) at essential cells.  ``_cells`` finds the essential
-cells of all elements at once, in one pass over their point lists held as
-byte rows; ``_points_order`` hands each element the tuple of its masks
-from that pass (``_Order``), for this order and the Bruhat orders of the
-suites, and ``d0max`` reads only the top element's cells.
+masks (``_threshold``).  ``_cells`` reads all elements' tables at every
+cell in one pass over their point lists held as byte rows, and flags each
+element's essential cells; ``_points_order`` hands each element the tuple
+of its masks at those (``_Order``), for this order and the Bruhat orders of
+the suites, and ``d0max`` ANDs one mask per cell, at the top's entries.
 """
 from __future__ import annotations
 
@@ -282,7 +282,7 @@ def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], 
     an int with one byte, 0 or 1, per list: T(I, J) sums the rows <= I read
     as 1 where the point is >= J, and column J has a point at a row <= I
     where T(I, J) - T(I, J + 1) is 1; as m < 255, no byte carries.  Yields
-    each cell essential for some list, T(I, J) as bytes, and key bytes:
+    every cell of the band, row by row, T(I, J) as bytes, and key bytes:
     T(I, J) + 1 for the lists the cell is essential for, 0 for the others.
     """
     size, m = len(rows[0]), len(rows)
@@ -300,9 +300,8 @@ def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], 
             flags = (here[J] | total[J] - total[J + 1]) ^ ones  # N and E
             if J > I + band:  # on the band's edge J = I + band, S and W hold
                 flags &= below[J] & (total[J - 1] - total[J] if J > 1 else ones)
-            if flags:
-                key = (total[J] + ones) & flags * 255
-                yield (I, J), total[J].to_bytes(size, "little"), key.to_bytes(size, "little")
+            key = (total[J] + ones) & flags * 255
+            yield (I, J), total[J].to_bytes(size, "little"), key.to_bytes(size, "little")
         here = below
 
 
@@ -359,13 +358,16 @@ def _points_order(points: Iterable[Sequence[int]], band: int) -> _Order:
     The lists, of one length m, are read once into rows, so a caller that
     passes a generator holds none of them while the masks are built.  At each
     cell, the positions it is essential for share one threshold mask per
-    value; they are picked out of the key bytes by ``compress``.
+    value; they are picked out of the key bytes by ``compress``, and a cell
+    essential for none is skipped before its key is walked.
     """
     rows = [bytes(row) for row in zip(*points)]
     positions = range(len(rows[0]))
     masks: list[tuple[int, ...]] = [()] * len(positions)
     for _, column, key in _cells(rows, band):
         values = key.translate(None, b"\0")  # the keys of the flagged positions, in position order
+        if not values:
+            continue
         shared = {k: (_threshold(column, k - 1),) for k in set(values)}
         for p, mask in zip(compress(positions, key), map(shared.__getitem__, values)):
             masks[p] += mask

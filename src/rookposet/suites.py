@@ -223,14 +223,11 @@ def _d0max(n: int) -> tuple[int, list[dict]]:
     everything = enumerate_placements(n)
     top = maximal_element(n)
     # the top at position 0 and placement k at position k + 1: Down(top) is the
-    # AND of the thresholds at the top's essential cells, and no other mask is
-    # built; the pass over the board runs only if the top alone has such a cell
+    # AND of the thresholds at the top's entry in every cell of the band
     rows = [bytes(row) for row in zip(*[_rank_points(D) for D in [top, *everything]])]
     below = (2 << len(everything)) - 1
-    if any(_cells([row[:1] for row in rows], 1)):
-        for _, column, key in _cells(rows, 1):
-            if key[0]:
-                below &= _threshold(column, key[0] - 1)
+    for _, column, _ in _cells(rows, 1):
+        below &= _threshold(column, column[0])
     below >>= 1
     failures = [
         {"placement": to_json(D), "top": to_json(top)} for k, D in enumerate(everything) if not below >> k & 1

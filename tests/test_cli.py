@@ -291,6 +291,27 @@ def test_d0max_reports_planted_fault(monkeypatch, capsys):
     ]
 
 
+def test_d0max_compares_every_entry(monkeypatch, capsys):
+    # one placement's points name column 5 in rows 1 and 4, so its table
+    # reads 2 at (4, 5), one above the top's and at or below it elsewhere;
+    # the top has no essential cell, so only a comparison at every cell of
+    # the band finds it
+    real = suites._rank_points
+    planted = placement(5, [(2, 1), (3, 2), (4, 3)])
+
+    def rank_points(D):
+        points = real(D)
+        if D == planted:
+            points[0] = 5
+        return points
+
+    monkeypatch.setattr(suites, "_rank_points", rank_points)
+    assert run(["verify", "--suite", "d0max", "--n", "5", "--json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 52
+    assert report["failures"] == [{"placement": to_json(planted), "top": to_json(poset.maximal_element(5))}]
+
+
 def test_exhaustive_suites_leave_numpy_unloaded(tmp_path):
     # numpy serves only the dense views PosetIndex.le and .covers; the CLI
     # and every suite, cor18 and proctor included, never load it, and

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import compress
 from itertools import permutations as iterperms
 
 import numpy as np
@@ -406,10 +407,9 @@ def essential_sets(lists, band):
     """Per point list, {((I, J), T(I, J))} at the cells that ``_cells`` flags for it."""
     out = [set() for _ in lists]
     for cell, column, key in _cells([bytes(row) for row in zip(*lists)], band):
-        for p, k in enumerate(key):
-            if k:
-                assert column[p] == k - 1, (cell, p)
-                out[p].add((cell, k - 1))
+        for p in compress(range(len(key)), key):
+            assert column[p] == key[p] - 1, (cell, p)
+            out[p].add((cell, key[p] - 1))
     return out
 
 
@@ -442,7 +442,19 @@ def table_essential(T, on_table):
 def test_essential_cells_are_exactly_the_unimplied_entries():
     # the neighbour conditions on the points against the same conditions on
     # the entries of the full tables: no cell is missing and none is extra
-    # (one pass per board and per permutation size, every list in one batch)
+    # (one pass per board and per permutation size, every list in one batch);
+    # the pass yields every cell of the band once, row by row, with each
+    # list's table entry there, flagged or not
+    for m in range(1, 7):
+        for lists, band in [
+            ([_rank_points(D) for D in enumerate_placements(m)], 1),
+            (list(iterperms(range(1, m + 1))), 1 - m),
+        ]:
+            yielded = list(_cells([bytes(row) for row in zip(*lists)], band))
+            band_cells = [(I, J) for I in range(1, m + 1) for J in range(max(1, I + band), m + 1)]
+            assert [cell for cell, _, _ in yielded] == band_cells, (m, band)
+            for (I, J), column, _ in yielded:
+                assert list(column) == [point_table(points, I, J) for points in lists], (I, J, band)
     for n in range(1, 7):
         everything = enumerate_placements(n)
         for D, found in zip(everything, essential_sets([_rank_points(D) for D in everything], 1)):
@@ -568,7 +580,7 @@ def test_maximal_element_values():
 
 
 def test_maximal_element_dominates_everything():
-    for n in range(1, 6):
+    for n in range(1, 8):
         top = maximal_element(n)
         for D in enumerate_placements(n):
             assert leq(D, top)
