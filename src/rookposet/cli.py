@@ -29,7 +29,7 @@ ANALYZE_LIMIT = 1000
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=str)
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _load_placement(args) -> RookPlacement:

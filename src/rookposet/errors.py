@@ -31,14 +31,6 @@ class BoundViolation(RookError):
     """A computed dimension contradicts the proven inequality chain."""
 
 
-class NotInvertible(RookError):
-    """The matrix has a zero diagonal entry."""
-
-
-class NotUpperTriangular(RookError):
-    """The matrix has a nonzero entry below the diagonal."""
-
-
 class NotIndexed(RookError):
     """The placement does not belong to the given poset index."""
 

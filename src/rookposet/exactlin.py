@@ -2,19 +2,19 @@
 
 Forms are strictly lower-triangular matrices paired with root cells via the
 trace form, so the (i, j) entry of a form is its value on the elementary
-matrix e_{j,i}; ``rank_profile`` takes them as lists of lists of ints or
-Fractions.  ``random_upper`` samples group elements as lists of ints.
+matrix e_{j,i}; ``rank_profile`` takes them as lists of lists of ints.
+``random_upper`` samples group elements as lists of ints, and
+``random_scalars`` draws rook scalars p/q as lowest-terms pairs (p, q).
 
-Only integers flow through the hot paths.  Every rank computed here, corner
-ranks included, is unchanged by a nonzero scalar, so a rational matrix is
-first scaled to integers by the lcm of its denominators (``_scaled``).  The
-coadjoint action is B·L·adj(B) on integer scalings, with the adjugate
-det(B)·B^{-1} from exact integer back substitution, summed as one sparse
-rank-one term per nonzero entry of the form (``_integer_action``); the
-``thm15`` suite reads the corner ranks of that integer result directly,
-without dividing.  The South-West rank profile comes from a single bottom-up
-elimination whose pivots are counted per corner.  No rounding happens
-anywhere.
+Only integers flow through this module.  Every rank computed here, corner
+ranks included, is unchanged by a nonzero scalar, so the ``thm15`` suite
+scales the rook scalars by the lcm of their denominators q.  The coadjoint
+action is B·L·adj(B) on that integer form, with the adjugate det(B)·B^{-1}
+from exact integer back substitution, summed as one sparse rank-one term per
+nonzero entry of the form (``_integer_action``); the suite reads the corner
+ranks of that integer result directly, without dividing.  The South-West
+rank profile comes from a single bottom-up elimination whose pivots are
+counted per corner.  No rounding happens anywhere.
 
 This module owns matrices and their ranks only.  The mark cells, the orbit
 dimension formulas and the polarization clauses belong to ``polarization``,
@@ -24,25 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .board import Cell, RookPlacement
-from .errors import NotInvertible, NotUpperTriangular
-
-Matrix = list[list[Fraction]]
-
-
-def _scaled(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(scale·mat, scale) with scale the lcm of the entries' denominators.
-
-    Entries are ints or Fractions; the scaled matrix is all ints.  At scale 1
-    the numerators are copied and nothing is multiplied.
-    """
-    scale = math.lcm(*{x.denominator for row in mat for x in row})
-    if scale == 1:
-        return [[x.numerator for x in row] for row in mat], 1
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
 
 
 def _upper_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -67,14 +51,16 @@ def _upper_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
     return det, adj
 
 
-def _check_form(form: Matrix) -> int:
+def _check_form(form: Sequence[Sequence[int]]) -> int:
     n = len(form)
     for i, row in enumerate(form):
         if len(row) != n:
             raise ValueError("form must be a square matrix")
-        for j in range(i, n):
-            if row[j] != 0:
-                raise ValueError("form must be strictly lower-triangular")
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"form entries must be integers, got {x!r}")
+        if any(row[i:]):
+            raise ValueError("form must be strictly lower-triangular")
     return n
 
 
@@ -83,25 +69,19 @@ def _check_form(form: Matrix) -> int:
 
 
 def _integer_action(
-    big_b: Sequence[Sequence[int]], entries: Iterable[tuple[int, int, int]], n: int
+    big_b: Sequence[Sequence[int]], entries: Iterable[tuple[int, int, int]]
 ) -> tuple[list[list[int]], int]:
     """(B·L·adj(B) on the strict lower triangle, det(B)) for integer B and L.
 
-    B is an invertible upper-triangular integer matrix; L is the strictly
+    B is an invertible upper-triangular integer matrix of size n, as
+    ``random_upper`` draws it, and is not checked; L is the n x n strictly
     lower integer form whose nonzero entries are ``entries``, triples
     (r, c, v) with 0-based r > c.  B·L·adj(B) = det(B)·(B L B^{-1}), so it
     has the corner ranks of the action on L.  It is the sum over entries of
     the rank-one terms v·B[:, r] ⊗ adj[c, :]; both factors are upper
     triangular, so a term reaches only the cells (x, y) with c <= y < x <= r.
     """
-    if len(big_b) != n:
-        raise ValueError(f"matrix size {len(big_b)} does not match form size {n}")
-    for i in range(n):
-        for j in range(i):
-            if big_b[i][j] != 0:
-                raise NotUpperTriangular(f"entry ({i + 1},{j + 1}) is nonzero")
-        if big_b[i][i] == 0:
-            raise NotInvertible(f"zero diagonal entry at ({i + 1},{i + 1})")
+    n = len(big_b)
     det, adj = _upper_adjugate(big_b)
     out = [[0] * n for _ in range(n)]
     for r, c, v in entries:
@@ -115,7 +95,7 @@ def _integer_action(
     return out, det
 
 
-def rank_profile(form: Matrix) -> list[list[int]]:
+def rank_profile(form: Sequence[Sequence[int]]) -> list[list[int]]:
     """Matrix of ranks of the lower-left corners of the form.
 
     Entry (i, j), i > j, is the rank of the submatrix on rows i..n and
@@ -131,7 +111,7 @@ def rank_profile(form: Matrix) -> list[list[int]]:
     only ones any corner through it reads.
     """
     n = _check_form(form)
-    rows, _ = _scaled(form)
+    rows = [list(row) for row in form]
     pivot_of_row = [n] * n  # n: no pivot
     for r in reversed(range(n)):
         row = rows[r]
@@ -175,12 +155,13 @@ def random_upper(n: int, rng: random.Random, bound: int) -> list[list[int]]:
     return mat
 
 
-def random_scalars(D: RookPlacement, rng: random.Random, bound: int = 3) -> dict[Cell, Fraction]:
-    """Nonzero rational scalars for each rook, drawn in canonical rook order."""
+def random_scalars(D: RookPlacement, rng: random.Random, bound: int = 3) -> dict[Cell, tuple[int, int]]:
+    """Nonzero rational scalars p/q, as (p, q) in lowest terms with q > 0, drawn in canonical rook order."""
     out = {}
     for cell in D.rooks:
         num = rng.randint(1, bound)
         den = rng.randint(1, bound)
         sign = rng.choice((1, -1))
-        out[cell] = Fraction(sign * num, den)
+        g = math.gcd(num, den)
+        out[cell] = (sign * num // g, den // g)
     return out

@@ -487,8 +487,6 @@ def verify_covers(n: int) -> tuple[int, list[dict]]:
 
 def maximal_element(n: int) -> RookPlacement:
     """The top placement: rooks (n,1), (n-1,2), ... filling floor(n/2) columns."""
-    if n < 1:
-        raise ValueError("board size must be at least 1")
     return placement(n, [(n - k + 1, k) for k in range(1, n // 2 + 1)])
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from .board import Cell, kerov_involution, permutation_of, placement_from_rank_matrix, rank_matrix, to_json
@@ -59,8 +58,9 @@ def _rng_for(seed: int, position: int) -> random.Random:
     return random.Random(seed * 1_000_003 + position)
 
 
-def _scalar_witness(xi) -> dict:
-    return {f"({c.row},{c.col})": str(v) for c, v in xi.items()}
+def _scalar_witness(xi: dict[Cell, tuple[int, int]]) -> dict:
+    """Each rook's scalar p/q as text, lowest terms, ``"p"`` when q is 1."""
+    return {f"({c.row},{c.col})": f"{p}/{q}" if q != 1 else str(p) for c, (p, q) in xi.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +99,16 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
     return len(chosen) * samples, failures
 
 
-def _orbit_profile(b: list[list[int]], xi: dict[Cell, Fraction]) -> list[list[int]]:
+def _orbit_profile(b: list[list[int]], xi: dict[Cell, tuple[int, int]]) -> list[list[int]]:
     """The rank profile of b acting on the form with rook scalars ``xi``, from the integer action alone.
 
-    The rook scalars are scaled by the lcm of their denominators.  The integer
-    result is scale·det(b) times the true form, and corner ranks do not see
-    that nonzero factor.
+    The rook scalars p/q are scaled by the lcm of their denominators q.  The
+    integer result is scale·det(b) times the true form, and corner ranks do
+    not see that nonzero factor.
     """
-    scale = math.lcm(*(v.denominator for v in xi.values()))
-    entries = [(i - 1, j - 1, v.numerator * (scale // v.denominator)) for (i, j), v in xi.items()]
-    lower, _ = _integer_action(b, entries, len(b))
+    scale = math.lcm(*(q for _, q in xi.values()))
+    entries = [(i - 1, j - 1, p * (scale // q)) for (i, j), (p, q) in xi.items()]
+    lower, _ = _integer_action(b, entries)
     return rank_profile(lower)
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from rookposet import Cell, CoverMove, MoveKind, mp_sets, placement
 from rookposet.board import all_lower_cells
-from rookposet.exactlin import _scaled, random_upper
+from rookposet.exactlin import random_upper
 from rookposet.polarization import polarization_clauses
 
-from oracles import Scope, cell_leq, cell_lt, integer_rank, placement_form
+from oracles import Scope, cell_leq, cell_lt, integer_rank, placement_form, scaled
 
 
 def upper_samples(n, seed, count, bound=3):
@@ -111,7 +111,7 @@ def fraction_bracket_rows(form, scope):
 
 def matrix_rank(rows):
     """Exact rank of a rational matrix: scale to integers, then Bareiss."""
-    return integer_rank(_scaled(rows)[0])
+    return integer_rank(scaled(rows)[0])
 
 
 def lower_cells_colmajor(n):
@@ -178,7 +178,7 @@ def check_polarization(D, scalars=None):
         ((x, y) for a, x in enumerate(comp) for y in comp[a + 1 :] if pairing_entry(form, x, y) != 0),
         None,
     )
-    rank = integer_rank(pairing_rows(_scaled(form)[0], cells))
+    rank = integer_rank(pairing_rows(scaled(form)[0], cells))
     return polarization_clauses(D.n, m_cells, isotropy, rank)
 
 

@@ -1,20 +1,23 @@
 """Reference implementations the tests compare the package against.
 
 No command runs them: the entrywise rank-matrix order, cell dominance, the
-Bruhat order by full dominance tables, Fraction placement forms, the Bareiss
-rank, the tangent rank over every generator, and the normalizing diagonal and
-4-board quadratic of the paper's examples.  They stay independent of the code
-they check.
+Bruhat order by full dominance tables, Fraction placement forms and their
+scaling to integers, the Bareiss rank, the tangent rank over every
+generator, and the normalizing diagonal and 4-board quadratic of the paper's
+examples.  They stay independent of the code they check: nothing here comes
+from the exact engine ``rookposet.exactlin``, which takes integers only.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from rookposet.board import Cell, RookPlacement, all_lower_cells, chains, placement, rank_matrix
-from rookposet.exactlin import Matrix, _check_form, _scaled
 from rookposet.permutations import Perm
+
+Matrix = list[list[Fraction]]
 
 # ---------------------------------------------------------------------------
 # Cells, the placement order, involutions and scalars
@@ -48,9 +51,10 @@ def normalize_scalars(
 ) -> dict[Cell, Fraction]:
     """Coerce to {Cell: Fraction}, defaulting to all ones; values must be nonzero.
 
-    Keys must be (row, col) tuples of ``int`` and values ``int`` or
-    ``Fraction`` (not bool or float, whose binary value is rarely the one
-    meant); anything else raises ValueError.
+    Keys must be (row, col) tuples of ``int`` and values ``int``,
+    ``Fraction`` or a pair (p, q) of ``int`` meaning p/q, as
+    ``random_scalars`` draws them (not bool or float, whose binary value is
+    rarely the one meant); anything else raises ValueError.
     """
     if scalars is None:
         return {c: Fraction(1) for c in D.rooks}
@@ -58,8 +62,10 @@ def normalize_scalars(
     for key, value in scalars.items():
         if not (isinstance(key, tuple) and len(key) == 2 and all(type(x) is int for x in key)):
             raise ValueError(f"scalar keys must be (row, col) pairs of integers, got {key!r}")
+        if type(value) is tuple and len(value) == 2 and all(type(x) is int for x in value) and value[1]:
+            value = Fraction(*value)  # p/q
         if type(value) is not int and not isinstance(value, Fraction):
-            raise ValueError(f"scalar values must be integers or Fractions, got {value!r}")
+            raise ValueError(f"scalar values must be integers, Fractions or (p, q) pairs, got {value!r}")
         out[Cell(*key)] = Fraction(value)
     if set(out) != set(D.rooks):
         raise ValueError("scalar assignment domain must equal the rook set")
@@ -102,15 +108,28 @@ def zeros(n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(n)]
 
 
-def identity(n: int) -> Matrix:
-    return diagonal([1] * n)
-
-
 def diagonal(values: Sequence[object]) -> Matrix:
     mat = zeros(len(values))
     for i, v in enumerate(values):
         mat[i][i] = Fraction(v)
     return mat
+
+
+def check_form(form: Sequence[Sequence[object]]) -> int:
+    """The size of a square, strictly lower-triangular form; ValueError otherwise."""
+    n = len(form)
+    for i, row in enumerate(form):
+        if len(row) != n:
+            raise ValueError("form must be a square matrix")
+        if any(x != 0 for x in row[i:]):
+            raise ValueError("form must be strictly lower-triangular")
+    return n
+
+
+def scaled(mat: Sequence[Sequence[object]]) -> tuple[list[list[int]], int]:
+    """(scale·mat, scale) in ints, scale the lcm of the denominators of the int or Fraction entries."""
+    scale = math.lcm(*(Fraction(x).denominator for row in mat for x in row))
+    return [[int(Fraction(x) * scale) for x in row] for row in mat], scale
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -171,8 +190,8 @@ def tangent_dimension(form: Matrix, scope: Scope) -> int:
     Equals the rank of the family (x·form - form·x) over the elementary
     generators x of the acting Lie algebra, taken on the integer-scaled form.
     """
-    n = _check_form(form)
-    int_form, _ = _scaled(form)
+    n = check_form(form)
+    int_form, _ = scaled(form)
     cells = all_lower_cells(n)
     gens = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     if scope is Scope.BOREL:
@@ -186,7 +205,7 @@ def squared_corner(form: Matrix) -> Fraction:
     Expands to form[4,2]*form[2,1] + form[4,3]*form[3,1]; vanishes identically
     on some orbits, which certifies non-membership for forms where it does not.
     """
-    n = _check_form(form)
+    n = check_form(form)
     if n != 4:
         raise ValueError(f"defined only on the 4-board, got n={n}")
     return form[3][1] * form[1][0] + form[3][2] * form[2][0]

@@ -341,12 +341,15 @@ def test_exhaustive_suites_leave_numpy_unloaded(tmp_path):
 
 def test_cli_import_leaves_dataclasses_unloaded():
     # the records are NamedTuples, so importing the CLI loads neither
-    # dataclasses nor what it pulls in (inspect, ast, dis, tokenize)
+    # dataclasses nor what it pulls in (inspect, ast, dis, tokenize); the rook
+    # scalars are pairs of ints, so it loads neither fractions nor what that
+    # pulls in (decimal, numbers)
     code = textwrap.dedent(
         """
         import sys
         import rookposet.cli
-        print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)))
+        loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
+        print(sorted(loaded & set(sys.modules)))
         """
     )
     src = str(Path(rookposet.__file__).resolve().parents[1])

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from rookposet import enumerate_placements, placement, rank_matrix, rank_profile
-from rookposet.exactlin import _integer_action, _scaled, random_scalars, random_upper
-from rookposet.errors import NotInvertible, NotUpperTriangular
-from rookposet.suites import _orbit_profile
+from rookposet.exactlin import _integer_action, random_scalars, random_upper
+from rookposet.suites import _orbit_profile, _scalar_witness
 
 from conftest import (
     check_polarization,
@@ -23,9 +22,9 @@ from oracles import (
     Scope,
     diagonal,
     diagonal_normalizer,
-    identity,
     integer_rank,
     placement_form,
+    scaled,
     squared_corner,
     tangent_dimension,
     zeros,
@@ -89,17 +88,18 @@ def test_placement_form_empty():
 
 
 def test_placement_form_scalar():
-    form = placement_form(placement(4, [(3, 2)]), {(3, 2): Fraction(5, 2)})
-    assert form[2][1] == Fraction(5, 2)
-    assert sum(1 for row in form for x in row if x != 0) == 1
+    for value in (Fraction(5, 2), (5, 2), (-10, -4)):
+        form = placement_form(placement(4, [(3, 2)]), {(3, 2): value})
+        assert form[2][1] == Fraction(5, 2)
+        assert sum(1 for row in form for x in row if x != 0) == 1
 
 
 # --- coadjoint ---------------------------------------------------------------
 
 
 def test_coadjoint_identity(golden8):
-    form = placement_form(golden8)
-    assert _integer_action(unit(8), form_entries(form), 8) == (form, 1)
+    form = scaled(placement_form(golden8))[0]
+    assert _integer_action(unit(8), form_entries(form)) == (form, 1)
 
 
 def test_coadjoint_normalizes_scaled_form(golden8):
@@ -123,34 +123,20 @@ def test_coadjoint_is_group_action():
     # lower part of b1·X·b1^{-1} does not see the upper part of X
     samples = upper_samples(5, seed=7, count=100)
     D = placement(5, [(3, 1), (5, 2), (4, 3)])
-    entries = form_entries(placement_form(D))
+    entries = form_entries(scaled(placement_form(D))[0])
     for k in range(0, 100, 2):
         b1, b2 = samples[k], samples[k + 1]
-        inner, _ = _integer_action(b2, entries, 5)
-        outer, _ = _integer_action(b1, form_entries(inner), 5)
-        assert _integer_action(int_product(b1, b2), entries, 5)[0] == outer
+        inner, _ = _integer_action(b2, entries)
+        outer, _ = _integer_action(b1, form_entries(inner))
+        assert _integer_action(int_product(b1, b2), entries)[0] == outer
 
 
 def test_coadjoint_accepts_integer_and_negative_diagonal_matrices():
     b = [[-2, 1, 0], [0, 3, -1], [0, 0, -1]]
-    form = placement_form(placement(3, [(3, 1)]), {(3, 1): -3})
-    lower, det = _integer_action(b, form_entries(form), 3)
+    form = scaled(placement_form(placement(3, [(3, 1)]), {(3, 1): -3}))[0]
+    lower, det = _integer_action(b, form_entries(form))
     assert det == 6
     assert lower == [[det * x for x in row] for row in fraction_coadjoint(b, form)]
-
-
-def test_coadjoint_rejects_bad_matrices():
-    entries = form_entries(placement_form(placement(3, [(3, 1)])))
-    lower = unit(3)
-    lower[2][0] = 1
-    with pytest.raises(NotUpperTriangular, match=r"^entry \(3,1\) is nonzero$"):
-        _integer_action(lower, entries, 3)
-    singular = unit(3)
-    singular[1][1] = 0
-    with pytest.raises(NotInvertible, match=r"^zero diagonal entry at \(2,2\)$"):
-        _integer_action(singular, entries, 3)
-    with pytest.raises(ValueError, match="^matrix size 4 does not match form size 3$"):
-        _integer_action(unit(4), entries, 3)
 
 
 def test_integer_action_matches_fraction_oracle():
@@ -166,7 +152,7 @@ def test_integer_action_matches_fraction_oracle():
                 big_b[i][j] = rng.randint(-4, 4)
         form = [[rng.randint(-5, 5) if j < i else 0 for j in range(n)] for i in range(n)]
         entries = [(r, c, v) for r, row in enumerate(form) for c, v in enumerate(row) if v]
-        lower, det = _integer_action(big_b, entries, n)
+        lower, det = _integer_action(big_b, entries)
         assert det == math.prod(big_b[i][i] for i in range(n))
         assert lower == [[det * x for x in row] for row in fraction_coadjoint(big_b, form)]
         assert all(type(x) is int for row in lower for x in row)
@@ -183,25 +169,31 @@ def test_orbit_profile_matches_fraction_path():
         for _ in range(count):
             xi = random_scalars(D, rng)
             b = random_upper(D.n, rng, 3)
-            expected = rank_profile(fraction_coadjoint(b, placement_form(D, xi)))
+            expected = rank_profile(scaled(fraction_coadjoint(b, placement_form(D, xi)))[0])
             assert _orbit_profile(b, xi) == expected == [list(row) for row in rank_matrix(D).entries]
 
 
 def test_form_validation():
-    with pytest.raises(ValueError):
-        rank_profile(identity(3))
+    with pytest.raises(ValueError, match="^form must be strictly lower-triangular$"):
+        rank_profile(unit(3))
+    with pytest.raises(ValueError, match="^form must be a square matrix$"):
+        rank_profile([[0, 0], [1]])
+    # the engine takes integer forms only: a rational one is scaled first (oracles.scaled)
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError, match="^form entries must be integers, got "):
+            rank_profile([[0, 0, 0], [1, 0, 0], [2, bad, 0]])
 
 
 # --- rank profile ------------------------------------------------------------
 
 
 def test_rank_profile_golden(golden8, golden8_rank_table):
-    profile = rank_profile(placement_form(golden8))
+    profile = rank_profile(scaled(placement_form(golden8))[0])
     assert tuple(tuple(r) for r in profile) == golden8_rank_table
 
 
 def test_rank_profile_zero_form():
-    assert rank_profile(zeros(5)) == [[0] * 5 for _ in range(5)]
+    assert rank_profile([[0] * 5 for _ in range(5)]) == [[0] * 5 for _ in range(5)]
 
 
 def test_rank_profile_orbit_invariance_sampled():
@@ -211,7 +203,7 @@ def test_rank_profile_orbit_invariance_sampled():
         for k in range(20):
             xi = random_scalars(D, rng)
             b = random_upper(4, random.Random(100 + k), 3)
-            assert rank_profile(fraction_coadjoint(b, placement_form(D, xi))) == expected
+            assert rank_profile(scaled(fraction_coadjoint(b, placement_form(D, xi)))[0]) == expected
 
 
 def test_rank_profile_matches_corner_oracle_on_orbit_samples():
@@ -219,8 +211,8 @@ def test_rank_profile_matches_corner_oracle_on_orbit_samples():
     everything = enumerate_placements(8)
     for b in upper_samples(8, seed=19, count=1000):
         D = rng.choice(everything)
-        form, _ = _scaled(placement_form(D, random_scalars(D, rng)))
-        lam, _ = _integer_action(b, form_entries(form), 8)  # a multiple of the orbit form: same corner ranks
+        form, _ = scaled(placement_form(D, random_scalars(D, rng)))
+        lam, _ = _integer_action(b, form_entries(form))  # a multiple of the orbit form: same corner ranks
         profile = rank_profile(lam)
         assert profile == corner_rank_profile(lam)
         assert profile == [list(row) for row in rank_matrix(D).entries]
@@ -232,15 +224,14 @@ def test_rank_profile_matches_corner_oracle_on_random_forms():
     for k in range(2000):
         n = 1 + k % 9
         form = random_lower_form(rng, n)
-        profile = rank_profile(form)
+        profile = rank_profile(scaled(form)[0])
         assert profile == corner_rank_profile(form)
-        if k % 4 == 0:  # the same form scaled to ints, as ints and as Fractions k/1
+        if k % 4 == 0:  # the same form scaled to ints by hand, which rank_profile leaves as it was
             scale = math.lcm(*(x.denominator for row in form for x in row))
             ints = [[int(x * scale) for x in row] for row in form]
-            for same in (ints, [[Fraction(x) for x in row] for row in ints]):
-                copy = [row[:] for row in same]
-                assert rank_profile(same) == corner_rank_profile(same) == profile
-                assert same == copy
+            copy = [row[:] for row in ints]
+            assert rank_profile(ints) == corner_rank_profile(ints) == profile
+            assert ints == copy
         if n > 1:  # the largest corner, rows 2..n by columns 1..n-1
             full += profile[1][n - 2] == n - 1
             deficient += profile[1][n - 2] < n - 1
@@ -383,6 +374,25 @@ def test_sample_borel_always_invertible():
             assert mat[i][i] != 0
             for j in range(i):
                 assert mat[i][j] == 0
+
+
+def test_random_scalars_are_the_fraction_draws_in_lowest_terms():
+    # the same randint, randint, choice draws as Fraction(sign * num, den), so
+    # every sample stays the same; the witness prints what str(Fraction) did
+    seen = set()
+    for D in enumerate_placements(5):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            xi = random_scalars(D, rng)
+            expected = {}
+            for cell in D.rooks:
+                num, den = ref.randint(1, 3), ref.randint(1, 3)
+                expected[cell] = Fraction(ref.choice((1, -1)) * num, den)
+            assert xi == {c: (v.numerator, v.denominator) for c, v in expected.items()}
+            assert rng.random() == ref.random()  # no draw more or less
+            assert _scalar_witness(xi) == {f"({c.row},{c.col})": str(v) for c, v in expected.items()}
+            seen.update(expected.values())
+    assert seen == {Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3) for b in (1, 2, 3)}
 
 
 # --- the 4-board quadratic -------------------------------------------------------

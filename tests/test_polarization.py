@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from rookposet import Cell, dimensions, enumerate_placements, mp_sets, placement
 from rookposet.board import all_lower_cells
-from rookposet.exactlin import _scaled, random_scalars
+from rookposet.exactlin import random_scalars
 from rookposet import polarization
 from rookposet.polarization import (
     SupportCertificate,
@@ -14,7 +14,7 @@ from rookposet.polarization import (
 )
 
 from conftest import check_polarization, pairing_rows, placements
-from oracles import Scope, bracket_row, placement_form, tangent_dimension
+from oracles import Scope, bracket_row, placement_form, scaled, tangent_dimension
 
 
 def cells(*pairs):
@@ -127,7 +127,7 @@ def test_mp_json_shape(chain6):
 def dense_supports(form):
     """Nonzero positions of the dense unipotent and Borel tangent matrices and the pairing."""
     n = len(form)
-    int_form = _scaled(form)[0]
+    int_form = scaled(form)[0]
     cells = all_lower_cells(n)
 
     def nonzero(keys, rows):

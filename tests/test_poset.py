@@ -577,6 +577,8 @@ def test_maximal_element_values():
     assert maximal_element(5) == placement(5, [(5, 1), (4, 2)])
     assert maximal_element(1) == placement(1, [])
     assert maximal_element(6) == placement(6, [(6, 1), (5, 2), (4, 3)])
+    with pytest.raises(ValueError, match="^board size must be at least 1, got 0$"):
+        maximal_element(0)  # the check of board.placement
 
 
 def test_maximal_element_dominates_everything():
