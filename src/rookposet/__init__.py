@@ -2,8 +2,6 @@
 
 from .board import (
     Cell,
-    ChainDecomposition,
-    RankMatrix,
     RookPlacement,
     chains,
     from_json,

@@ -44,8 +44,8 @@ def placement(n: int, cells: Iterable[Sequence[int]]) -> RookPlacement:
 
     ``n`` and every coordinate must be ``int`` (not bool, float or str);
     anything else raises ValueError.  Raises OutOfBoard for a cell outside the
-    strict lower triangle and AttackingRooks (with the offending pair as
-    witness) for a repeated row or column.
+    strict lower triangle and AttackingRooks, naming the offending pair, for a
+    repeated row or column.
     """
     if type(n) is not int:  # bool is a subclass of int, so isinstance would admit it
         raise ValueError(f"board size must be an integer, got {n!r}")
@@ -76,14 +76,8 @@ def placement(n: int, cells: Iterable[Sequence[int]]) -> RookPlacement:
 # Rank matrices and the partial order
 
 
-class RankMatrix(NamedTuple):
-    """Entry (i,j), i > j, counts rooks weakly South-West of the cell."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-def rank_matrix(D: RookPlacement) -> RankMatrix:
+def rank_matrix(D: RookPlacement) -> tuple[tuple[int, ...], ...]:
+    """The n rows of the rank matrix: entry (i,j), i > j, counts rooks weakly South-West of the cell."""
     n = D.n
     col_of_row = {c.row: c.col for c in D.rooks}
     entries = [[0] * n for _ in range(n)]
@@ -96,17 +90,17 @@ def rank_matrix(D: RookPlacement) -> RankMatrix:
         row = entries[i - 1]
         for j in range(i - 1):  # only cells strictly below the diagonal
             row[j] = acc[j]
-    return RankMatrix(n, tuple(tuple(r) for r in entries))
+    return tuple(tuple(r) for r in entries)
 
 
-def placement_from_rank_matrix(R: RankMatrix) -> RookPlacement:
+def placement_from_rank_matrix(R: tuple[tuple[int, ...], ...]) -> RookPlacement:
     """Reconstruct the placement by quadrant inclusion-exclusion.
 
     Cell (i,j) carries a rook iff
     R(i,j) - R(i+1,j) - R(i,j-1) + R(i+1,j-1) == 1 (out-of-range terms 0).
     """
-    n = R.n
-    padded = [(0, *row) for row in R.entries] + [(0,) * (n + 1)]  # column 0 and row n + 1 read 0
+    n = len(R)
+    padded = [(0, *row) for row in R] + [(0,) * (n + 1)]  # column 0 and row n + 1 read 0
     cells = [
         (i, j)
         for i, (here, below) in enumerate(zip(padded[1:], padded[2:]), start=2)
@@ -120,14 +114,7 @@ def placement_from_rank_matrix(R: RankMatrix) -> RookPlacement:
 # Chains, permutations, involutions
 
 
-class ChainDecomposition(NamedTuple):
-    """Partition of {1..n} into the chains linked by rooks and fixed points."""
-
-    chains: tuple[tuple[int, ...], ...]
-    fixed_points: frozenset[int]
-
-
-def chains(D: RookPlacement) -> ChainDecomposition:
+def chains(D: RookPlacement) -> tuple[tuple[int, ...], ...]:
     """Maximal sequences a_1 < ... < a_b with (a_{l+1}, a_l) a rook."""
     succ = {c.col: c.row for c in D.rooks}
     rows = D.rows
@@ -137,9 +124,7 @@ def chains(D: RookPlacement) -> ChainDecomposition:
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
         out.append(tuple(chain))
-    members = {x for chain in out for x in chain}
-    fixed = frozenset(range(1, D.n + 1)) - members
-    return ChainDecomposition(tuple(out), fixed)
+    return tuple(out)
 
 
 def permutation_of(D: RookPlacement) -> perms.Perm:
@@ -147,7 +132,7 @@ def permutation_of(D: RookPlacement) -> perms.Perm:
     w = list(range(1, D.n + 1))
     for i, j in D.rooks:
         w[j - 1] = i
-    for chain in chains(D).chains:
+    for chain in chains(D):
         w[chain[-1] - 1] = chain[0]
     return tuple(w)
 

@@ -60,7 +60,7 @@ def cmd_analyze(args) -> int:
         out = to_json(D)
         out.update(
             {
-                "rank_matrix": [list(row) for row in R.entries],
+                "rank_matrix": [list(row) for row in R],
                 "w": list(w),
                 "length": dims.length,
                 "mp": data.to_json(),
@@ -74,7 +74,7 @@ def cmd_analyze(args) -> int:
     print(f"board size: {D.n}")
     print(f"rooks: {_cell_list(D.rooks)}")
     print("rank matrix:")
-    for row in R.entries:
+    for row in R:
         print("  " + " ".join(str(x) for x in row))
     print(f"permutation w: {list(w)}")
     print(f"length l(w): {dims.length}")

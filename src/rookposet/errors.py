@@ -10,17 +10,13 @@ class OutOfBoard(RookError):
 
     def __init__(self, cell, n):
         super().__init__(f"cell {cell} is not strictly lower-triangular on the {n}-board")
-        self.cell = cell
-        self.n = n
 
 
 class AttackingRooks(RookError):
-    """Two rooks share a row or a column; ``witness`` holds the pair."""
+    """Two rooks share a row or a column; the message names both cells and the axis."""
 
     def __init__(self, first, second, axis):
         super().__init__(f"rooks {first} and {second} share a {axis}")
-        self.witness = (first, second)
-        self.axis = axis
 
 
 class BoardTooSmall(RookError):

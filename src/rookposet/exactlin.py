@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 from .board import Cell, RookPlacement
 
 
-def _upper_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det, det·mat^{-1}) of an invertible upper-triangular integer matrix.
+def _upper_adjugate(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The adjugate det(mat)·mat^{-1} of an invertible upper-triangular integer matrix.
 
     Back substitution in integers: every entry of the adjugate is an integer
     cofactor, so each division by a diagonal entry is exact.
@@ -48,7 +48,7 @@ def _upper_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
                 if row[k]:
                     s += row[k] * adj[k][j]
             out[j] = -s // d
-    return det, adj
+    return adj
 
 
 def _check_form(form: Sequence[Sequence[int]]) -> int:
@@ -70,8 +70,8 @@ def _check_form(form: Sequence[Sequence[int]]) -> int:
 
 def _integer_action(
     big_b: Sequence[Sequence[int]], entries: Iterable[tuple[int, int, int]]
-) -> tuple[list[list[int]], int]:
-    """(B·L·adj(B) on the strict lower triangle, det(B)) for integer B and L.
+) -> list[list[int]]:
+    """B·L·adj(B) on the strict lower triangle, for integer B and L.
 
     B is an invertible upper-triangular integer matrix of size n, as
     ``random_upper`` draws it, and is not checked; L is the n x n strictly
@@ -82,7 +82,7 @@ def _integer_action(
     triangular, so a term reaches only the cells (x, y) with c <= y < x <= r.
     """
     n = len(big_b)
-    det, adj = _upper_adjugate(big_b)
+    adj = _upper_adjugate(big_b)
     out = [[0] * n for _ in range(n)]
     for r, c, v in entries:
         adj_c = adj[c]
@@ -92,7 +92,7 @@ def _integer_action(
                 row = out[x]
                 for y in range(c, x):
                     row[y] += f * adj_c[y]
-    return out, det
+    return out
 
 
 def rank_profile(form: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -78,7 +78,6 @@ def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None
 
 
 class OrbitDimensions(NamedTuple):
-    m_size: int
     d_size: int
     dim_theta: int  # unipotent orbit: 2|M|
     dim_omega: int  # Borel orbit: 2|M| + |D|
@@ -100,7 +99,6 @@ def dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
             f"dimension bound violated for {D}: 2|M|={m2}, |D|={d}, l(w)={length}"
         )
     return OrbitDimensions(
-        m_size=len(m_cells),
         d_size=d,
         dim_theta=m2,
         dim_omega=m2 + d,

@@ -201,7 +201,7 @@ def placements(draw, min_n=10, max_n=40):
 
 def lower_entries(R):
     """The strict lower-triangle entries of a rank matrix, row-major."""
-    return tuple(x for i, row in enumerate(R.entries) for x in row[:i])
+    return tuple(x for i, row in enumerate(R) for x in row[:i])
 
 
 def broadcast_pairwise_leq(rows):

@@ -36,7 +36,7 @@ def leq(D: RookPlacement, other: RookPlacement) -> bool:
     """Partial order: D <= other iff the rank matrices compare entrywise."""
     if D.n != other.n:
         raise ValueError(f"board sizes differ: {D.n} vs {other.n}")
-    pairs = zip(rank_matrix(D).entries, rank_matrix(other).entries)
+    pairs = zip(rank_matrix(D), rank_matrix(other))
     return all(a <= b for ra, rb in pairs for a, b in zip(ra, rb))
 
 
@@ -85,7 +85,7 @@ def diagonal_normalizer(
     """
     xi = normalize_scalars(D, scalars)
     t = [Fraction(1)] * D.n
-    for chain in chains(D).chains:
+    for chain in chains(D):
         acc = Fraction(1)
         for prev, cur in zip(chain, chain[1:]):
             acc = acc / xi[Cell(cur, prev)]

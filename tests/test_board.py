@@ -45,16 +45,13 @@ def test_validate_empty():
 
 
 def test_validate_attacking_row_witness():
-    with pytest.raises(AttackingRooks) as err:
+    with pytest.raises(AttackingRooks, match=r"^rooks \(3,1\) and \(3,2\) share a row$"):
         placement(4, [(3, 1), (3, 2)])
-    assert err.value.witness == (Cell(3, 1), Cell(3, 2))
-    assert err.value.axis == "row"
 
 
 def test_validate_attacking_column():
-    with pytest.raises(AttackingRooks) as err:
+    with pytest.raises(AttackingRooks, match=r"^rooks \(3,2\) and \(5,2\) share a column$"):
         placement(5, [(3, 2), (5, 2)])
-    assert err.value.axis == "column"
 
 
 @pytest.mark.parametrize("cell", [(2, 2), (1, 1), (9, 1), (3, 0), (2, 3)])
@@ -98,12 +95,12 @@ def test_input_order_is_canonicalized():
 
 
 def test_rank_matrix_golden(golden8, golden8_rank_table):
-    assert rank_matrix(golden8).entries == golden8_rank_table
+    assert rank_matrix(golden8) == golden8_rank_table
 
 
 def test_rank_matrix_empty():
     R = rank_matrix(placement(4, []))
-    assert all(x == 0 for row in R.entries for x in row)
+    assert all(x == 0 for row in R for x in row)
 
 
 def _count_sw(D, i, j):
@@ -116,8 +113,8 @@ def test_rank_matrix_single_rook_corner():
     for i in range(1, 5):
         for j in range(1, 5):
             expected = _count_sw(D, i, j) if i > j else 0
-            assert R.entries[i - 1][j - 1] == expected
-    assert all(R.entries[i - 1][j - 1] == 1 for i in range(2, 5) for j in range(1, i))
+            assert R[i - 1][j - 1] == expected
+    assert all(R[i - 1][j - 1] == 1 for i in range(2, 5) for j in range(1, i))
 
 
 def test_rank_matrix_against_direct_count_oracle():
@@ -128,7 +125,7 @@ def test_rank_matrix_against_direct_count_oracle():
         for i in range(1, D.n + 1):
             for j in range(1, D.n + 1):
                 expected = _count_sw(D, i, j) if i > j else 0
-                assert R.entries[i - 1][j - 1] == expected
+                assert R[i - 1][j - 1] == expected
 
 
 def test_rank_matrix_neighbor_steps():
@@ -139,9 +136,9 @@ def test_rank_matrix_neighbor_steps():
             for i in range(2, n + 1):
                 for j in range(1, i):
                     if j > 1:
-                        assert R.entries[i - 1][j - 1] - R.entries[i - 1][j - 2] in (0, 1)
+                        assert R[i - 1][j - 1] - R[i - 1][j - 2] in (0, 1)
                     if i - 1 > j:
-                        assert R.entries[i - 2][j - 1] - R.entries[i - 1][j - 1] in (-1, 0, 1)
+                        assert R[i - 2][j - 1] - R[i - 1][j - 1] in (-1, 0, 1)
 
 
 def test_reconstruction_round_trip_small_boards():
@@ -211,21 +208,15 @@ def test_compare_cells():
 
 
 def test_chains_golden(golden8):
-    decomp = chains(golden8)
-    assert decomp.chains == ((1, 3, 7), (2, 6, 8), (4, 5))
-    assert decomp.fixed_points == frozenset()
+    assert chains(golden8) == ((1, 3, 7), (2, 6, 8), (4, 5))
 
 
 def test_chains_empty():
-    decomp = chains(placement(3, []))
-    assert decomp.chains == ()
-    assert decomp.fixed_points == {1, 2, 3}
+    assert chains(placement(3, [])) == ()
 
 
 def test_chains_derived(chain6):
-    decomp = chains(chain6)
-    assert decomp.chains == ((1, 3, 4, 6), (2, 5))
-    assert decomp.fixed_points == frozenset()
+    assert chains(chain6) == ((1, 3, 4, 6), (2, 5))
 
 
 def test_permutation_of(chain6, golden8):
@@ -250,7 +241,7 @@ def test_permutation_support_is_chain_membership():
             for i, j in D.rooks:
                 assert w[j - 1] == i
             support = {x for x in range(1, n + 1) if w[x - 1] != x}
-            members = {x for chain in chains(D).chains for x in chain}
+            members = {x for chain in chains(D) for x in chain}
             assert support == members
 
 

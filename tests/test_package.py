@@ -26,7 +26,7 @@ def _nodes(node):
 
 
 def unreached(src):
-    """Dotted names in ``src`` that ``cli`` never reaches: definitions, and methods of reached classes.
+    """Dotted names in ``src`` that ``cli`` never reaches: definitions, and members of reached classes.
 
     The roots are every top-level definition of ``cli`` and every module-level
     statement that defines nothing; dunders such as ``__all__`` are no
@@ -34,9 +34,13 @@ def unreached(src):
     imports by ``from .mod import name``, and ``mod.name`` does the same for
     a module imported by ``from . import mod``.  Imports and ``__init__``
     exports reach nothing.  A method is reached when its class is and its
-    name is read as an attribute anywhere reached, or is a dunder.
+    name is read as an attribute anywhere reached, or is a dunder.  A field
+    of a reached class, an annotated name in its body or an attribute that
+    one of its methods sets on ``self``, must have its name read the same
+    way; an assignment is no read.  Matching is by name alone, so a read of
+    any other object's attribute of that name counts.
     """
-    defs, methods, imported, modules, todo = {}, {}, {}, {}, []
+    defs, methods, fields, imported, modules, todo = {}, {}, set(), {}, {}, []
     for path in sorted(Path(src).glob("*.py")):
         mod = path.stem
         imported[mod], modules[mod] = {}, {}
@@ -52,6 +56,14 @@ def unreached(src):
                 for sub in stmt.body if isinstance(stmt, ast.ClassDef) else ():
                     if isinstance(sub, ast.FunctionDef):
                         methods[mod, stmt.name, sub.name] = sub
+                        fields.update(
+                            (mod, stmt.name, t.attr)
+                            for t in ast.walk(sub)
+                            if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                            and isinstance(t.value, ast.Name) and t.value.id == "self"
+                        )
+                    elif isinstance(sub, ast.AnnAssign):
+                        fields.add((mod, stmt.name, sub.target.id))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
                     defs[mod, target.id] = stmt
@@ -73,7 +85,8 @@ def unreached(src):
             if isinstance(sub, ast.Name):
                 key = resolve(mod, sub.id)
             elif isinstance(sub, ast.Attribute):
-                attrs.add(sub.attr)
+                if isinstance(sub.ctx, ast.Load):
+                    attrs.add(sub.attr)
                 if isinstance(sub.value, ast.Name) and sub.value.id in modules[mod]:
                     key = resolve(modules[mod][sub.value.id], sub.attr)
             if key is not None and key not in reached:
@@ -85,6 +98,7 @@ def unreached(src):
                 todo.append((key[0], fn))
     missing = [key for key in defs if key not in reached and not key[1].startswith("__")]
     missing += [key for key in methods if key[:2] in reached and key not in reached]
+    missing += [key for key in fields if key[:2] in reached and key[2] not in attrs]
     return sorted(".".join(key) for key in missing if ".".join(key) not in ALLOWED)
 
 

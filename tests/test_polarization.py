@@ -84,7 +84,6 @@ def test_subalgebra_witness_exhaustive():
 
 def test_dimensions_chain6(chain6):
     dims = dimensions(chain6, mp_sets(chain6).m_cells)
-    assert dims.m_size == 2
     assert dims.dim_theta == 4
     assert dims.length == 10
     assert dims.length - dims.d_size == 6
@@ -94,12 +93,11 @@ def test_dimensions_chain6(chain6):
 
 def test_dimensions_empty():
     dims = dimensions(placement(4, []), frozenset())
-    assert (dims.m_size, dims.dim_theta, dims.dim_omega, dims.length) == (0, 0, 0, 0)
+    assert (dims.dim_theta, dims.dim_omega, dims.length) == (0, 0, 0)
 
 
 def test_dimensions_golden(golden8):
     dims = dimensions(golden8, mp_sets(golden8).m_cells)
-    assert dims.m_size == 6
     assert dims.dim_theta == 12
     assert dims.dim_omega == 17
     assert dims.length == 17

@@ -95,7 +95,7 @@ def test_rank_sums_in_closed_form(n):
     # the index sorts by rank-matrix sums taken from the rooks: rook (a, b)
     # counts in the C(a - b + 1, 2) cells b <= j < i <= a
     for D in enumerate_placements(n):
-        assert 2 * sum(map(sum, rank_matrix(D).entries)) == sum((a - b) * (a - b + 1) for a, b in D.rooks), D
+        assert 2 * sum(map(sum, rank_matrix(D))) == sum((a - b) * (a - b + 1) for a, b in D.rooks), D
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -240,7 +240,6 @@ def test_moved_raises_what_placement_raises(removed, added):
         with pytest.raises(type(exc)) as got:
             moved()
         assert str(got.value) == str(exc)
-        assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
     else:
         assert moved() is None
 
@@ -460,7 +459,7 @@ def test_essential_cells_are_exactly_the_unimplied_entries():
         for D, found in zip(everything, essential_sets([_rank_points(D) for D in everything], 1)):
             R = rank_matrix(D)  # entry (i, j) sits at (n + 1 - i, n + 1 - j), on the band J > I
             T = [[0] * (n + 1)] + [
-                [0] + [R.entries[n - I][n - J] if J > I else 0 for J in range(1, n + 1)]
+                [0] + [R[n - I][n - J] if J > I else 0 for J in range(1, n + 1)]
                 for I in range(1, n + 1)
             ]
             assert found == table_essential(T, lambda I, J: J > I), D
@@ -537,7 +536,7 @@ def test_essential_cells_beyond_enumeration(pair, rng):
     for E in (chain[-1], unrelated):
         rank_E = rank_matrix(E)
         [essential] = essential_sets([_rank_points(D)], 1)
-        by_cells = all(rank_E.entries[D.n - I][D.n - J] <= v for (I, J), v in essential)
+        by_cells = all(rank_E[D.n - I][D.n - J] <= v for (I, J), v in essential)
         assert by_cells == leq(E, D)
         assert _points_order([_rank_points(D), _rank_points(E)], 1).down(0) >> 1 == leq(E, D)
         for perm_of in (kerov_involution, permutation_of):
@@ -599,7 +598,7 @@ def test_order_property_suite(n):
         assert report.checked == bell_number(n) ** 2
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_covers_lower_the_incitti_rank_by_one(n):
     # Bruhat order on involutions is graded by the Incitti rank; through cor18
     # every cover of the rank-row order must drop that rank by exactly one
