@@ -82,7 +82,7 @@ def cmd_analyze(args) -> int:
     print(f"cells P: {_cell_list(data.p_cells)}")
     for col, m, p in data.per_rook:
         print(f"  column {col}: M {_cell_list(m)} | P {_cell_list(p)}")
-    print(f"dim theta = 2|M| = {dims.dim_theta} (bound l(w) - |D| = {dims.length - dims.d_size})")
+    print(f"dim theta = 2|M| = {dims.dim_theta} (bound l(w) - |D| = {dims.length - len(D.rooks)})")
     print(f"dim omega = 2|M| + |D| = {dims.dim_omega} (bound l(w) = {dims.length})")
     if sigma is None:
         print("doubled involution: undefined for n = 1")

@@ -4,17 +4,18 @@ Forms are strictly lower-triangular matrices paired with root cells via the
 trace form, so the (i, j) entry of a form is its value on the elementary
 matrix e_{j,i}; ``rank_profile`` takes them as lists of lists of ints.
 ``random_upper`` samples group elements as lists of ints, and
-``random_scalars`` draws rook scalars p/q as lowest-terms pairs (p, q).
+``random_scalars`` draws rook scalars p/q as lowest-terms pairs (p, q); each
+drawn integer lies within 3 of zero.
 
 Only integers flow through this module.  Every rank computed here, corner
 ranks included, is unchanged by a nonzero scalar, so the ``thm15`` suite
 scales the rook scalars by the lcm of their denominators q.  The coadjoint
-action is B·L·adj(B) on that integer form, with the adjugate det(B)·B^{-1}
-from exact integer back substitution, summed as one sparse rank-one term per
-nonzero entry of the form (``_integer_action``); the suite reads the corner
-ranks of that integer result directly, without dividing.  The South-West
-rank profile comes from a single bottom-up elimination whose pivots are
-counted per corner.  No rounding happens anywhere.
+action is B·L·adj(B) on that integer form, one sparse rank-one term per
+nonzero entry, each with only the adjugate entries it reads, solved exactly
+in integers (``_integer_action``); the suite reads the corner ranks of that
+integer result directly, without dividing.  The South-West rank profile
+comes from a single bottom-up elimination whose pivots are counted per
+corner.  No rounding happens anywhere.
 
 This module owns matrices and their ranks only.  The mark cells, the orbit
 dimension formulas and the polarization clauses belong to ``polarization``,
@@ -27,28 +28,6 @@ import random
 from typing import Iterable, Sequence
 
 from .board import Cell, RookPlacement
-
-
-def _upper_adjugate(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The adjugate det(mat)·mat^{-1} of an invertible upper-triangular integer matrix.
-
-    Back substitution in integers: every entry of the adjugate is an integer
-    cofactor, so each division by a diagonal entry is exact.
-    """
-    n = len(mat)
-    det = math.prod(mat[i][i] for i in range(n))
-    adj = [[0] * n for _ in range(n)]
-    for i in reversed(range(n)):
-        row, d = mat[i], mat[i][i]
-        out = adj[i]
-        out[i] = det // d
-        for j in range(i + 1, n):
-            s = 0
-            for k in range(i + 1, j + 1):
-                if row[k]:
-                    s += row[k] * adj[k][j]
-            out[j] = -s // d
-    return adj
 
 
 def _check_form(form: Sequence[Sequence[int]]) -> int:
@@ -78,14 +57,21 @@ def _integer_action(
     lower integer form whose nonzero entries are ``entries``, triples
     (r, c, v) with 0-based r > c.  B·L·adj(B) = det(B)·(B L B^{-1}), so it
     has the corner ranks of the action on L.  It is the sum over entries of
-    the rank-one terms v·B[:, r] ⊗ adj[c, :]; both factors are upper
+    the rank-one terms v·B[:, r] ⊗ adj(B)[c, :]; both factors are upper
     triangular, so a term reaches only the cells (x, y) with c <= y < x <= r.
+
+    A term reads adj(B)[c, y] only for c <= y < r and solves for just those,
+    forward from adj(B)[c, :]·B = det(B)·e_c; each is an integer cofactor, so
+    every division by B[y][y] is exact, whatever the signs of B's diagonal.
     """
     n = len(big_b)
-    adj = _upper_adjugate(big_b)
+    det = math.prod(big_b[i][i] for i in range(n))
     out = [[0] * n for _ in range(n)]
     for r, c, v in entries:
-        adj_c = adj[c]
+        adj_c = [0] * r
+        adj_c[c] = det // big_b[c][c]
+        for y in range(c + 1, r):
+            adj_c[y] = -sum(adj_c[k] * big_b[k][y] for k in range(c, y)) // big_b[y][y]
         for x in range(c + 1, r + 1):
             f = v * big_b[x][r]
             if f:
@@ -144,23 +130,27 @@ def rank_profile(form: Sequence[Sequence[int]]) -> list[list[int]]:
 # Deterministic sampling
 
 
-def random_upper(n: int, rng: random.Random, bound: int) -> list[list[int]]:
-    """Invertible upper-triangular integer sample: [-bound, bound] above a diagonal in [1, bound]."""
+#: the bound of every draw, which the reports and tests pin
+_BOUND = 3
+
+
+def random_upper(n: int, rng: random.Random) -> list[list[int]]:
+    """Invertible upper-triangular integer sample: [-3, 3] above a diagonal in [1, 3]."""
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mat[i][j] = rng.randint(-bound, bound)
+            mat[i][j] = rng.randint(-_BOUND, _BOUND)
     for i in range(n):
-        mat[i][i] = rng.randint(1, bound)
+        mat[i][i] = rng.randint(1, _BOUND)
     return mat
 
 
-def random_scalars(D: RookPlacement, rng: random.Random, bound: int = 3) -> dict[Cell, tuple[int, int]]:
+def random_scalars(D: RookPlacement, rng: random.Random) -> dict[Cell, tuple[int, int]]:
     """Nonzero rational scalars p/q, as (p, q) in lowest terms with q > 0, drawn in canonical rook order."""
     out = {}
     for cell in D.rooks:
-        num = rng.randint(1, bound)
-        den = rng.randint(1, bound)
+        num = rng.randint(1, _BOUND)
+        den = rng.randint(1, _BOUND)
         sign = rng.choice((1, -1))
         g = math.gcd(num, den)
         out[cell] = (sign * num // g, den // g)

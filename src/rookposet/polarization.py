@@ -78,7 +78,6 @@ def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None
 
 
 class OrbitDimensions(NamedTuple):
-    d_size: int
     dim_theta: int  # unipotent orbit: 2|M|
     dim_omega: int  # Borel orbit: 2|M| + |D|
     length: int  # Coxeter length of the attached permutation
@@ -98,12 +97,7 @@ def dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
         raise BoundViolation(
             f"dimension bound violated for {D}: 2|M|={m2}, |D|={d}, l(w)={length}"
         )
-    return OrbitDimensions(
-        d_size=d,
-        dim_theta=m2,
-        dim_omega=m2 + d,
-        length=length,
-    )
+    return OrbitDimensions(dim_theta=m2, dim_omega=m2 + d, length=length)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,16 @@ from .errors import LimitExceeded, NotIndexed, RookError
 if TYPE_CHECKING:
     import numpy as np
 
-#: hard ceiling for plain enumeration (21147 placements at n=9 is still cheap)
-ENUM_LIMIT = 9
+#: hard ceiling for plain enumeration (115 975 placements at n=10); kept equal
+#: to INDEX_LIMIT while ``verify`` checks a suite's limit only as it starts
+ENUM_LIMIT = 10
 #: ceiling for the all-pairs index, which keeps no down-sets and no rank
-#: tables: at n=9 (21147 placements, 126 487 cover edges) it holds 70
-#: threshold masks, 0.2 MB, per placement the tuple of its masks, all built
-#: in one pass at set-up, 1.7 MB, and its key and position maps, 5.4 MB in
-#: all, with a peak of 8 MB while it is built; numpy is loaded only for the
-#: dense views (``le``, ``covers``)
-INDEX_LIMIT = 9
+#: tables: at n=10 (115 975 placements, 820 582 cover edges) it holds 95
+#: threshold masks, 1.4 MB, per placement the tuple of its masks, all built
+#: in one pass at set-up, 8.9 MB, and with the placements and their key and
+#: position maps 50 MB in all, with a peak of 65 MB while it is built (1.3 s);
+#: numpy is loaded only for the dense views (``le``, ``covers``)
+INDEX_LIMIT = 10
 
 
 class MoveKind(Enum):

@@ -35,7 +35,6 @@ from .poset import (
 )
 
 DEFAULT_SAMPLES = 100
-DEFAULT_BOUND = 3
 
 
 class VerificationReport(NamedTuple):
@@ -85,8 +84,8 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
         expected = [list(row) for row in rank_matrix(D)]
         rng = _rng_for(seed, k)
         for s in range(samples):
-            xi = random_scalars(D, rng, DEFAULT_BOUND)
-            b = random_upper(n, rng, DEFAULT_BOUND)
+            xi = random_scalars(D, rng)
+            b = random_upper(n, rng)
             if _orbit_profile(b, xi) != expected:
                 failures.append(
                     {
@@ -146,12 +145,12 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
             )
             # on a cyclic support the leaf-strip matching is no rank: nothing read off it is reported
             del clauses["maximality"]
-        if forest and cert.matching + dims.d_size != dims.dim_omega:
+        if forest and cert.matching + len(D.rooks) != dims.dim_omega:
             failures.append(
                 {
                     "placement": to_json(D),
                     "check": "borel-dimension",
-                    "tangent": cert.matching + dims.d_size,
+                    "tangent": cert.matching + len(D.rooks),
                     "expected": dims.dim_omega,
                     "length": dims.length,
                 }

@@ -15,10 +15,10 @@ from rookposet.polarization import polarization_clauses
 from oracles import Scope, cell_leq, cell_lt, integer_rank, placement_form, scaled
 
 
-def upper_samples(n, seed, count, bound=3):
+def upper_samples(n, seed, count):
     """``count`` invertible Borel matrices drawn from one random.Random(seed)."""
     rng = random.Random(seed)
-    return [random_upper(n, rng, bound) for _ in range(count)]
+    return [random_upper(n, rng) for _ in range(count)]
 
 
 # --- Fraction oracles for the integer engine ----------------------------------

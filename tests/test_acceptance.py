@@ -66,7 +66,7 @@ def test_criterion_1_golden_examples(golden8, golden8_rank_table):
     dims = dimensions(chain6, mp_sets(chain6).m_cells)
     assert dims.dim_theta == 4
     assert dims.length == 10
-    assert dims.length - dims.d_size == 6
+    assert dims.length - len(chain6.rooks) == 6
 
     xi = {(3, 1): 2, (6, 2): 3, (7, 3): 5, (5, 4): 7, (8, 6): 11}
     t = diagonal_normalizer(golden8, xi)
@@ -177,7 +177,7 @@ def test_criterion_8_orthogonal_sharpness():
         for D in enumerate_placements(n):
             if all(len(chain) <= 2 for chain in chains(D)):
                 dims = dimensions(D, mp_sets(D).m_cells)
-                assert dims.dim_theta == dims.length - dims.d_size, D
+                assert dims.dim_theta == dims.length - len(D.rooks), D
                 checked += 1
     assert checked > 0
     _done(8, f"orthogonal sharpness ({checked} placements)", t0)

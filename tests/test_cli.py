@@ -149,7 +149,7 @@ def test_verify_json_report(capsys):
     assert set(reports[0]) == {"suite", "n", "checked", "failures", "seed", "millis"}
 
 
-@pytest.mark.parametrize("n", ["0", "10"])
+@pytest.mark.parametrize("n", ["0", "11"])
 @pytest.mark.parametrize("suite", list(suites.SUITES))
 def test_verify_limit_is_usage_error(suite, n, capsys):
     assert run(["verify", "--n", n, "--suite", suite]) == 2

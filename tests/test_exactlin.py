@@ -139,23 +139,44 @@ def test_coadjoint_accepts_integer_and_negative_diagonal_matrices():
 
 
 def test_integer_action_matches_fraction_oracle():
-    # dense integer forms; B's diagonal takes both signs, so det(B) < 0 occurs
+    # dense integer forms, then every one-entry form for n <= 8 under three B
+    # draws, so each rank-one term, with its adjugate row c and its stop
+    # column r, is checked alone; B's diagonal takes both signs, so det(B) < 0
+    # occurs in both kinds
     rng = random.Random(29)
-    negative = 0
-    for _ in range(300):
-        n = rng.randint(1, 8)
+
+    def draw_b(n):
         big_b = [[0] * n for _ in range(n)]
         for i in range(n):
             big_b[i][i] = rng.choice((-1, 1)) * rng.randint(1, 4)
             for j in range(i + 1, n):
                 big_b[i][j] = rng.randint(-4, 4)
-        form = [[rng.randint(-5, 5) if j < i else 0 for j in range(n)] for i in range(n)]
+        return big_b
+
+    def negative_det(big_b, form):
+        n = len(form)
         entries = [(r, c, v) for r, row in enumerate(form) for c, v in enumerate(row) if v]
         lower = _integer_action(big_b, entries)
         det = math.prod(big_b[i][i] for i in range(n))
         assert lower == [[det * x for x in row] for row in fraction_coadjoint(big_b, form)]
         assert all(type(x) is int for row in lower for x in row)
-        negative += det < 0
+        return det < 0
+
+    negative = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        big_b = draw_b(n)
+        form = [[rng.randint(-5, 5) if j < i else 0 for j in range(n)] for i in range(n)]
+        negative += negative_det(big_b, form)
+    assert negative > 50
+    negative = 0
+    for n in range(2, 9):
+        for r in range(n):
+            for c in range(r):
+                for _ in range(3):
+                    v = rng.choice((-1, 1)) * rng.randint(1, 5)
+                    form = [[v if (i, j) == (r, c) else 0 for j in range(n)] for i in range(n)]
+                    negative += negative_det(draw_b(n), form)
     assert negative > 50
 
 
@@ -167,7 +188,7 @@ def test_orbit_profile_matches_fraction_path():
     for D, count in cases:
         for _ in range(count):
             xi = random_scalars(D, rng)
-            b = random_upper(D.n, rng, 3)
+            b = random_upper(D.n, rng)
             expected = rank_profile(scaled(fraction_coadjoint(b, placement_form(D, xi)))[0])
             assert _orbit_profile(b, xi) == expected == [list(row) for row in rank_matrix(D)]
 
@@ -201,7 +222,7 @@ def test_rank_profile_orbit_invariance_sampled():
         expected = [list(row) for row in rank_matrix(D)]
         for k in range(20):
             xi = random_scalars(D, rng)
-            b = random_upper(4, random.Random(100 + k), 3)
+            b = random_upper(4, random.Random(100 + k))
             assert rank_profile(scaled(fraction_coadjoint(b, placement_form(D, xi)))[0]) == expected
 
 
@@ -350,20 +371,20 @@ def test_check_polarization_chain6(chain6):
 
 def test_sample_borel_pinned():
     # one draw pinned, so the order of the randint calls cannot drift
-    assert random_upper(4, random.Random(2024), 3) == [
+    assert random_upper(4, random.Random(2024)) == [
         [3, 0, -2, 2],
         [0, 2, 1, -1],
         [0, 0, 3, -2],
         [0, 0, 0, 2],
     ]
-    assert all(type(x) is int for row in random_upper(5, random.Random(1), 3) for x in row)
+    assert all(type(x) is int for row in random_upper(5, random.Random(1)) for x in row)
 
 
 def test_sample_borel_deterministic():
-    first = random_upper(5, random.Random(123), 4)
-    assert first == random_upper(5, random.Random(123), 4)
-    a = upper_samples(5, seed=123, count=10, bound=4)
-    b = upper_samples(5, seed=123, count=10, bound=4)
+    first = random_upper(5, random.Random(123))
+    assert first == random_upper(5, random.Random(123))
+    a = upper_samples(5, seed=123, count=10)
+    b = upper_samples(5, seed=123, count=10)
     assert a == b
 
 

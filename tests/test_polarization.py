@@ -86,8 +86,8 @@ def test_dimensions_chain6(chain6):
     dims = dimensions(chain6, mp_sets(chain6).m_cells)
     assert dims.dim_theta == 4
     assert dims.length == 10
-    assert dims.length - dims.d_size == 6
-    assert dims.dim_theta <= dims.length - dims.d_size
+    assert dims.length - len(chain6.rooks) == 6
+    assert dims.dim_theta <= dims.length - len(chain6.rooks)
     assert dims.dim_omega == 8
 
 
@@ -107,7 +107,7 @@ def test_dimension_bounds_exhaustive():
     for n in range(1, 8):
         for D in enumerate_placements(n):
             dims = dimensions(D, mp_sets(D).m_cells)  # raises BoundViolation on any breach
-            assert dims.dim_theta <= dims.length - dims.d_size
+            assert dims.dim_theta <= dims.length - len(D.rooks)
             assert dims.dim_omega <= dims.length
 
 
@@ -198,8 +198,8 @@ def test_support_certificate_beyond_enumeration(D):
     cert = _support_certificate(D, mp_sets(D).m_cells)
     dims = dimensions(D, mp_sets(D).m_cells)  # raises BoundViolation on any breach
     assert cert.cycle is None
-    assert cert.matching + dims.d_size == dims.dim_omega
+    assert cert.matching + len(D.rooks) == dims.dim_omega
     assert cert.matching == dims.dim_theta
     assert cert.isotropy is None
-    assert dims.dim_theta <= dims.length - dims.d_size
+    assert dims.dim_theta <= dims.length - len(D.rooks)
     assert dims.dim_omega <= dims.length

@@ -70,7 +70,7 @@ def test_enumeration_is_lexicographic():
         assert everything[0] == placement(n, [])
 
 
-@pytest.mark.parametrize("n", [0, 10])
+@pytest.mark.parametrize("n", [0, 11])
 def test_enumeration_limit(n):
     with pytest.raises(LimitExceeded):
         enumerate_placements(n)
@@ -78,7 +78,7 @@ def test_enumeration_limit(n):
 
 def test_index_limit():
     with pytest.raises(LimitExceeded):
-        poset_index(10)
+        poset_index(11)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -618,7 +618,7 @@ def test_whole_board_suites_reach_n9(suite, checked):
 def test_order_property_limit():
     for suite in ("cor18", "proctor"):
         with pytest.raises(LimitExceeded):
-            run_suite(suite, 10)
+            run_suite(suite, 11)
 
 
 # --- DOT export ----------------------------------------------------------------------
