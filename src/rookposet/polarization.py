@@ -16,7 +16,6 @@ tangent and pairing matrices, which stay independent of this module.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .board import Cell, RookPlacement, permutation_of
@@ -155,6 +154,10 @@ def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportC
     - the Borel tangent has the same, plus (p,p)-(p,q) and (q,q)-(p,q);
     - the pairing has (k,q)-(p,k) and (p,k)-(k,q).
 
+    Each cell has at most one edge of each kind, since the kind fixes its
+    rook as the one in a row or column that the cell names.  So every
+    support is a union of paths and even cycles.
+
     Every entry of these matrices is one term, ± the scalar of the rook that
     produced it: two rooks, or the two terms of one bracket, never reach the
     same entry, since that would need a rook on the diagonal.  So nothing
@@ -196,65 +199,46 @@ def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportC
 
 
 def forest_support(edges: list[tuple[int, int]]) -> tuple[tuple[tuple[int, int], ...] | None, int]:
-    """Union-find acyclicity test and leaf-stripping maximum matching of (row, column) id edges.
+    """One leaf-pruning pass: the forest test and maximum matching of (row, column) id edges.
 
-    Row and column ids must be disjoint.  The first edge that joins two
-    vertices already connected closes a cycle, reported as that edge
-    followed by the path back between its ends.  On a forest, matching a
-    leaf to its only neighbour is always optimal, so stripping leaves gives
-    a maximum matching.  Returns the cycle (None for a forest) and the
-    matching size.
+    Row and column ids must be disjoint.  Each vertex keeps its count of
+    unpruned edges and the XOR of their far ends, so a vertex with one edge
+    left is pruned with it, towards the neighbour that XOR names, and matched
+    to it when both are free.  On a forest every edge is pruned, and matching
+    a leaf to its only neighbour is optimal.  An unpruned edge lies on a
+    cycle: the witness walks on from the last one's column, never back along
+    the edge just taken, until a vertex repeats, and is the loop it closes.
+    Returns the cycle (None for a forest) and the matching size.
     """
-    parent: dict[int, int] = {}
-    adjacent: dict[int, list[int]] = {}
-
-    def find(v: int) -> int:
-        root = parent.setdefault(v, v)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    cycle = None
+    count: dict[int, int] = {}
+    far: dict[int, int] = {}
     for row, col in edges:
-        ru, rv = find(row), find(col)
-        if ru != rv:
-            parent[ru] = rv
-        elif cycle is None:
-            cycle = ((row, col),) + _path_edges(adjacent, col, row)
-        adjacent.setdefault(row, []).append(col)
-        adjacent.setdefault(col, []).append(row)
-
-    degree = {v: len(ws) for v, ws in adjacent.items()}
-    leaves = [v for v, d in degree.items() if d == 1]
+        count[row] = count.get(row, 0) + 1
+        count[col] = count.get(col, 0) + 1
+        far[row] = far.get(row, 0) ^ col
+        far[col] = far.get(col, 0) ^ row
+    leaves = [v for v, d in count.items() if d == 1]
     matched: set[int] = set()
     while leaves:
         v = leaves.pop()
-        if v in matched or degree[v] != 1:
+        if count[v] != 1:  # its last edge went with its neighbour
             continue
-        u = next(w for w in adjacent[v] if w not in matched)
-        matched.update((u, v))
-        for w in adjacent[u]:
-            if w not in matched:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    leaves.append(w)
-    return cycle, len(matched) // 2
-
-
-def _path_edges(adjacent: dict, column: int, row: int) -> tuple[tuple[int, int], ...]:
-    """The (row, column) edges of the path from a column to a row, by breadth-first search."""
-    came_from = {column: None}
-    queue = deque([column])
-    while row not in came_from:
-        v = queue.popleft()
-        for w in adjacent[v]:
-            if w not in came_from:
-                came_from[w] = v
-                queue.append(w)
-    path = [row]  # back to the column: a row at every even position
-    while came_from[path[-1]] is not None:
-        path.append(came_from[path[-1]])
-    edges = [(path[i], path[i + 1]) if i % 2 == 0 else (path[i + 1], path[i]) for i in range(len(path) - 1)]
-    return tuple(reversed(edges))
+        u = far[v]
+        count[v] = 0
+        count[u] -= 1
+        far[u] ^= v
+        if v not in matched and u not in matched:
+            matched.update((u, v))
+        if count[u] == 1:
+            leaves.append(u)
+    core = [k for k, (row, col) in enumerate(edges) if count[row] and count[col]]
+    if not core:
+        return None, len(matched) // 2
+    row, v = edges[core[-1]]
+    visited, walk = [row], [core[-1]]  # walk[i] leaves visited[i]
+    while v not in visited:
+        visited.append(v)
+        k = next(j for j in core if j != walk[-1] and v in edges[j])
+        walk.append(k)
+        v ^= edges[k][0] ^ edges[k][1]
+    return tuple(edges[k] for k in walk[visited.index(v):]), len(matched) // 2

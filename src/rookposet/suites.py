@@ -143,7 +143,7 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
                     "cycle": [[list(row), list(col)] for row, col in cert.cycle],
                 }
             )
-            # on a cyclic support the leaf-strip matching is no rank: nothing read off it is reported
+            # on a cyclic support the leaf-pruning matching is no rank: nothing read off it is reported
             del clauses["maximality"]
         if forest and cert.matching + len(D.rooks) != dims.dim_omega:
             failures.append(

@@ -3,9 +3,10 @@
 No command runs them: the entrywise rank-matrix order, cell dominance, the
 Bruhat order by full dominance tables, Fraction placement forms and their
 scaling to integers, the Bareiss rank, the tangent rank over every
-generator, and the normalizing diagonal and 4-board quadratic of the paper's
-examples.  They stay independent of the code they check: nothing here comes
-from the exact engine ``rookposet.exactlin``, which takes integers only.
+generator, the normalizing diagonal and 4-board quadratic of the paper's
+examples, and the forest test and maximum matching of a bipartite graph.
+They stay independent of the code they check: nothing here comes from the
+exact engine ``rookposet.exactlin``, which takes integers only.
 """
 from __future__ import annotations
 
@@ -209,6 +210,46 @@ def squared_corner(form: Matrix) -> Fraction:
     if n != 4:
         raise ValueError(f"defined only on the 4-board, got n={n}")
     return form[3][1] * form[1][0] + form[3][2] * form[2][0]
+
+
+# ---------------------------------------------------------------------------
+# Bipartite graphs given as (row, column) edge lists, repeated edges allowed
+
+
+def is_forest(edges: Sequence[tuple[int, int]]) -> bool:
+    """A graph is a forest iff |E| = |V| - (its number of components)."""
+    neighbours: dict[int, set[int]] = {}
+    for a, b in edges:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    unseen, components = set(neighbours), 0
+    while unseen:
+        components += 1
+        stack = [unseen.pop()]
+        while stack:
+            reached = neighbours[stack.pop()] & unseen
+            unseen -= reached
+            stack += reached
+    return len(edges) == len(neighbours) - components
+
+
+def maximum_matching(edges: Sequence[tuple[int, int]]) -> int:
+    """Size of a maximum matching of a bipartite graph, by augmenting paths from each row."""
+    columns: dict[int, list[int]] = {}
+    for row, col in edges:
+        columns.setdefault(row, []).append(col)
+    mate: dict[int, int] = {}  # column -> its matched row
+
+    def augment(row: int, tried: set[int]) -> bool:
+        for col in columns[row]:
+            if col not in tried:
+                tried.add(col)
+                if col not in mate or augment(mate[col], tried):
+                    mate[col] = row
+                    return True
+        return False
+
+    return sum(augment(row, set()) for row in columns)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ THM24_TARGET_JSON = {"n": 4, "rooks": [[3, 1], [4, 2]]}
 def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     # a support that is not a forest proves nothing about the ranks: thm24
     # fails (exit 1) with the cycle as its witness, reported once, and reports
-    # nothing read off the leaf-strip matching, which on a cycle is too small
+    # nothing read off the leaf-pruning matching, which on a cycle is too small
 
     def ids(*edges):  # cell (i, j) has id i * 5 + j on the 4-board
         return [(a * 5 + b, c * 5 + d) for (a, b), (c, d) in edges]

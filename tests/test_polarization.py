@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 
@@ -14,7 +15,15 @@ from rookposet.polarization import (
 )
 
 from conftest import check_polarization, pairing_rows, placements
-from oracles import Scope, bracket_row, placement_form, scaled, tangent_dimension
+from oracles import (
+    Scope,
+    bracket_row,
+    is_forest,
+    maximum_matching,
+    placement_form,
+    scaled,
+    tangent_dimension,
+)
 
 
 def cells(*pairs):
@@ -155,6 +164,8 @@ def test_support_certificate_matches_dense_action(monkeypatch):
         cert = _support_certificate(D, mp_sets(D).m_cells)
         [edges] = seen  # one forest test per placement
         assert len(set(edges)) == len(edges)
+        # each cell has at most one edge of each kind: paths and even cycles only
+        assert max(Counter(v for edge in edges for v in edge).values(), default=0) <= 2
         assert cert.cycle is None
         unipotent = {(Cell(*divmod(row, D.n + 1)), Cell(*divmod(col, D.n + 1))) for row, col in edges}
         pairing = {(Cell(row.col, row.row), col) for row, col in unipotent}
@@ -184,6 +195,46 @@ def test_forest_support_reports_a_cycle():
     cycle, _ = forest_support([(r1, c1), (r1, c2), (r2, c1), (r2, c2)])
     assert cycle == ((r2, c2), (r1, c2), (r1, c1), (r2, c1))
     assert forest_support([(r1, c1), (r1, c2), (r2, c1)]) == (None, 2)
+    # a repeated edge is a 2-cycle; a 4-cycle is found beside a separate edge
+    assert forest_support([(1, 2), (1, 2)])[0] == ((1, 2), (1, 2))
+    assert forest_support([(1, 2), (3, 2), (3, 4), (1, 4), (5, 6)])[0] == ((1, 4), (3, 4), (3, 2), (1, 2))
+
+
+def is_closed_walk(edges):
+    """Whether the edges, in order, can be walked from one end of the first back to it."""
+    for start in edges[0]:
+        at = start
+        for a, b in edges:
+            if at not in (a, b):
+                break
+            at = b if at == a else a
+        else:
+            if at == start:
+                return True
+    return False
+
+
+def test_forest_support_matches_graph_oracles():
+    # real supports have no vertex of degree 3 (see _support_certificate), so
+    # branching trees come from here: seeded random bipartite graphs on at
+    # most 5 rows (ids 0-4) and 5 columns (ids 10-14) with at most 8 edges,
+    # repeated edges allowed
+    rng = random.Random(26)
+    shapes = set()
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        edges = [(rng.randrange(rows), 10 + rng.randrange(cols)) for _ in range(rng.randint(0, 8))]
+        cycle, matching = forest_support(edges)
+        assert (cycle is None) == is_forest(edges)
+        if cycle is None:
+            assert matching == maximum_matching(edges)
+            branching = max(Counter(v for edge in edges for v in edge).values(), default=0) >= 3
+            shapes.add("branching tree" if branching else "paths")
+        else:
+            assert not Counter(cycle) - Counter(edges)
+            assert is_closed_walk(cycle)
+            shapes.add("repeated edge" if len(cycle) == 2 else "cycle")
+    assert shapes == {"paths", "branching tree", "repeated edge", "cycle"}
 
 
 def test_isotropy_reports_an_edge_between_complement_cells(golden8):
