@@ -14,7 +14,7 @@ from .board import (
 )
 from .exactlin import rank_profile
 from .permutations import inversions
-from .polarization import MPData, OrbitDimensions, dimensions, mp_sets
+from .polarization import OrbitDimensions, dimensions, mp_sets, per_rook
 from .poset import (
     CoverMove,
     MoveKind,

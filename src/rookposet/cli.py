@@ -17,7 +17,7 @@ from .board import (
     to_json,
 )
 from .errors import LimitExceeded, RookError
-from .polarization import dimensions, mp_sets
+from .polarization import dimensions, mp_sets, per_rook
 from .poset import cover_moves, enumerate_placements, hasse_dot, poset_index
 from .suites import DEFAULT_SAMPLES, SUITES, run_suite
 
@@ -52,8 +52,11 @@ def _cell_list(cells) -> str:
 def cmd_analyze(args) -> int:
     D = _load_placement(args)
     R = rank_matrix(D)
-    data = mp_sets(D)
-    dims = dimensions(D, data.m_cells)
+    marks = mp_sets(D)
+    dims = dimensions(D, marks)
+    per = per_rook(D, marks)
+    m_cells = [c for _, m, _ in per for c in m]
+    p_cells = [c for _, _, p in per for c in p]
     w = permutation_of(D)
     sigma = list(kerov_involution(D)) if D.n >= 2 else None
     if args.json:
@@ -63,7 +66,11 @@ def cmd_analyze(args) -> int:
                 "rank_matrix": [list(row) for row in R],
                 "w": list(w),
                 "length": dims.length,
-                "mp": data.to_json(),
+                "mp": {  # a Cell is written as its [row, col] pair
+                    "M": sorted(m_cells),
+                    "P": sorted(p_cells),
+                    "per_rook": {str(col): {"M": sorted(m), "P": sorted(p)} for col, m, p in per},
+                },
                 "dim_theta": dims.dim_theta,
                 "dim_omega": dims.dim_omega,
                 "kerov_involution": sigma,
@@ -78,9 +85,9 @@ def cmd_analyze(args) -> int:
         print("  " + " ".join(str(x) for x in row))
     print(f"permutation w: {list(w)}")
     print(f"length l(w): {dims.length}")
-    print(f"cells M: {_cell_list(data.m_cells)}")
-    print(f"cells P: {_cell_list(data.p_cells)}")
-    for col, m, p in data.per_rook:
+    print(f"cells M: {_cell_list(m_cells)}")
+    print(f"cells P: {_cell_list(p_cells)}")
+    for col, m, p in per:
         print(f"  column {col}: M {_cell_list(m)} | P {_cell_list(p)}")
     print(f"dim theta = 2|M| = {dims.dim_theta} (bound l(w) - |D| = {dims.length - len(D.rooks)})")
     print(f"dim omega = 2|M| + |D| = {dims.dim_omega} (bound l(w) = {dims.length})")

@@ -11,8 +11,10 @@ scalars.
 
 This module owns every decision about M: the dimension bounds and the four
 polarization clauses are stated and tested here, and nothing here builds a
-matrix.  The tests compare the certificates against the dense ranks of the
-tangent and pairing matrices, which stay independent of this module.
+matrix.  M is a tuple of integer row masks, and only this module reads it;
+``per_rook`` decodes it into the cells that ``analyze`` prints.  The tests
+compare the certificates against the dense ranks of the tangent and pairing
+matrices, which stay independent of this module.
 """
 from __future__ import annotations
 
@@ -23,56 +25,46 @@ from .errors import BoundViolation
 from .permutations import inversions
 
 
-class MPData(NamedTuple):
-    """Per-rook mark cells (keyed by rook column, in rook order) and their unions."""
+def mp_sets(D: RookPlacement) -> tuple[int, ...]:
+    """The mark cells M of D as n + 1 row masks: (i, q) is in M iff bit q of ``marks[i]`` is set.
 
-    per_rook: tuple[tuple[int, frozenset[Cell], frozenset[Cell]], ...]
-    m_cells: frozenset[Cell]
-    p_cells: frozenset[Cell]
-
-    def to_json(self) -> dict:
-        return {
-            "M": [[c.row, c.col] for c in sorted(self.m_cells)],
-            "P": [[c.row, c.col] for c in sorted(self.p_cells)],
-            "per_rook": {
-                str(col): {
-                    "M": [[c.row, c.col] for c in sorted(m)],
-                    "P": [[c.row, c.col] for c in sorted(p)],
-                }
-                for col, m, p in self.per_rook
-            },
-        }
-
-
-def mp_sets(D: RookPlacement) -> MPData:
-    """Build the M and P cells, scanning rooks by ascending column.
-
-    For a rook (i, j): M_j holds (i, q) for j < q < i unless (q, j) was
-    already marked by an earlier rook; P_j holds the partner (q, j) of every
-    (i, q) in M_j.
+    Rooks are scanned by ascending column.  A rook (i, j) marks (i, q) for
+    j < q < i unless (q, j) was already marked by an earlier rook.  Only the
+    rook in row q marks row q, and only at columns above its own, so no later
+    rook marks (q, j), and each rook changes only the mask of its own row.
     """
-    marked: set[Cell] = set()
-    per: list[tuple[int, frozenset[Cell], frozenset[Cell]]] = []
+    marks = [0] * (D.n + 1)
     for i, j in D.rooks:
-        m_j = frozenset(Cell(i, q) for q in range(j + 1, i) if Cell(q, j) not in marked)
-        p_j = frozenset(Cell(c.col, j) for c in m_j)
-        marked |= m_j
-        per.append((j, m_j, p_j))
-    p_all = frozenset(c for _, _, p in per for c in p)
-    return MPData(tuple(per), frozenset(marked), p_all)
+        marks[i] = sum(1 << q for q in range(j + 1, i) if not marks[q] >> j & 1)
+    return tuple(marks)
 
 
-def _subalgebra_witness(m_cells: frozenset[Cell]) -> tuple[int, int, int] | None:
+def per_rook(D: RookPlacement, marks: tuple[int, ...]) -> tuple[tuple[int, frozenset, frozenset], ...]:
+    """The cells of each rook (i, j) of D, in rook order, as (j, M_j, P_j).
+
+    M_j holds the marks (i, q) in the rook's row; P_j holds the partner (q, j)
+    of each, the cell above the rook in its own column.
+    """
+    out = []
+    for i, j in D.rooks:
+        cols = [q for q in range(j + 1, i) if marks[i] >> q & 1]
+        out.append((j, frozenset(Cell(i, q) for q in cols), frozenset(Cell(q, j) for q in cols)))
+    return tuple(out)
+
+
+def _subalgebra_witness(marks: tuple[int, ...]) -> tuple[int, int, int] | None:
     """Scan for a triple j < k < i with (i,k), (k,j) outside M but (i,j) in M.
 
     No such triple exists for the mark cells of a placement; returning one
     would disprove that the complement spans a subalgebra.  None signals
     success.
     """
-    for i, j in sorted(m_cells):
-        for k in range(j + 1, i):
-            if Cell(i, k) not in m_cells and Cell(k, j) not in m_cells:
-                return (i, k, j)
+    for i, row in enumerate(marks):
+        for j in range(row.bit_length()):
+            if row >> j & 1:
+                for k in range(j + 1, i):
+                    if not row >> k & 1 and not marks[k] >> j & 1:
+                        return (i, k, j)
     return None
 
 
@@ -82,15 +74,15 @@ class OrbitDimensions(NamedTuple):
     length: int  # Coxeter length of the attached permutation
 
 
-def dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
+def dimensions(D: RookPlacement, marks: tuple[int, ...]) -> OrbitDimensions:
     """Closed-form orbit dimensions together with their length bounds.
 
-    ``m_cells`` is M, ``mp_sets(D).m_cells``.  Raises BoundViolation if
+    ``marks`` is M as row masks, ``mp_sets(D)``.  Raises BoundViolation if
     2|M| + |D| > l(w), which is also the bound 2|M| <= l(w) - |D|; a breach
     would contradict the proven inequality chain and must surface loudly.
     """
     length = inversions(permutation_of(D))
-    m2 = 2 * len(m_cells)
+    m2 = 2 * sum(row.bit_count() for row in marks)
     d = len(D.rooks)
     if m2 + d > length:
         raise BoundViolation(
@@ -103,8 +95,8 @@ def dimensions(D: RookPlacement, m_cells: frozenset[Cell]) -> OrbitDimensions:
 # Polarization certification
 
 
-def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy: Edge | None, rank: int) -> dict:
-    """The four polarization clauses for the mark cells M of an n-board placement.
+def polarization_clauses(n: int, marks: tuple[int, ...], isotropy: Edge | None, rank: int) -> dict:
+    """The four polarization clauses for the mark cells M, as row masks, of an n-board placement.
 
     Returns {name: {"ok": bool, "witness": JSON value}}, as the report prints
     it.  Isotropy: the pairing vanishes on the span of the complement of M;
@@ -115,13 +107,14 @@ def polarization_clauses(n: int, m_cells: frozenset[Cell], isotropy: Edge | None
     subspace maximal.  Subalgebra: the complement is closed under
     commutators; the witness is a triple that breaks it, or None.
     """
-    inside = sum(1 <= c.col < c.row <= n for c in m_cells)
-    triple = _subalgebra_witness(m_cells)
+    size = sum(row.bit_count() for row in marks)
+    inside = sum((row & ((1 << i) - 2)).bit_count() for i, row in enumerate(marks[1:], 1))
+    triple = _subalgebra_witness(marks)
     edge = None if isotropy is None else [list(c) for c in isotropy]
     return {
         "isotropy": {"ok": edge is None, "witness": edge},
-        "codimension": {"ok": inside == len(m_cells), "witness": n * (n - 1) // 2 - inside},
-        "maximality": {"ok": rank == 2 * len(m_cells), "witness": rank},
+        "codimension": {"ok": inside == size, "witness": n * (n - 1) // 2 - inside},
+        "maximality": {"ok": rank == 2 * size, "witness": rank},
         "subalgebra": {"ok": triple is None, "witness": None if triple is None else list(triple)},
     }
 
@@ -140,10 +133,10 @@ class SupportCertificate(NamedTuple):
     isotropy: Edge | None  # a pairing edge joining two cells outside M
 
 
-def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportCertificate:
+def _support_certificate(D: RookPlacement, marks: tuple[int, ...]) -> SupportCertificate:
     """Supports of the tangent and pairing matrices at the form of D, from the rooks.
 
-    ``m_cells`` is M, ``mp_sets(D).m_cells``; the isotropy witness is the
+    ``marks`` is M as row masks, ``mp_sets(D)``; the isotropy witness is the
     first pairing edge that joins two cells outside it.
 
     Tangent matrices have a row per generator (a, b), a <= b (written as the
@@ -183,14 +176,13 @@ def _support_certificate(D: RookPlacement, m_cells: frozenset[Cell]) -> SupportC
     # cell (i, j) has id i * w + j; rows lie above the diagonal and columns
     # below it, so one id per cell keeps the two sides apart
     w = D.n + 1
-    marked = {i * w + j for i, j in m_cells}
     edges: list[tuple[int, int]] = []
     isotropy = None
     for p, q in D.rooks:
         for k in range(q + 1, p):
             kq, pk = k * w + q, p * w + k
             edges += ((k * w + p, kq), (q * w + k, pk))
-            if isotropy is None and kq not in marked and pk not in marked:
+            if isotropy is None and not marks[k] >> q & 1 and not marks[p] >> k & 1:
                 isotropy = (Cell(k, q), Cell(p, k))
     cycle, matching = forest_support(edges)
     if cycle is not None:

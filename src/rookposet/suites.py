@@ -125,14 +125,14 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
     failures: list[dict] = []
     everything = enumerate_placements(n)
     for D in everything:
-        m_cells = mp_sets(D).m_cells
+        marks = mp_sets(D)
         try:
-            dims = dimensions(D, m_cells)
+            dims = dimensions(D, marks)
         except BoundViolation as exc:
             failures.append({"placement": to_json(D), "bound_violation": str(exc)})
             continue
-        cert = _support_certificate(D, m_cells)
-        clauses = polarization_clauses(n, m_cells, cert.isotropy, cert.matching)
+        cert = _support_certificate(D, marks)
+        clauses = polarization_clauses(n, marks, cert.isotropy, cert.matching)
         forest = cert.cycle is None
         if not forest:
             failures.append(

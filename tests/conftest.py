@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rookposet import Cell, CoverMove, MoveKind, mp_sets, placement
+from rookposet import Cell, CoverMove, MoveKind, mp_sets, per_rook, placement
 from rookposet.board import all_lower_cells
 from rookposet.exactlin import random_upper
 from rookposet.polarization import polarization_clauses
@@ -171,7 +171,8 @@ def check_polarization(D, scalars=None):
     Bareiss.
     """
     cells = all_lower_cells(D.n)
-    m_cells = mp_sets(D).m_cells
+    marks = mp_sets(D)
+    m_cells = frozenset(c for _, m, _ in per_rook(D, marks) for c in m)
     comp = sorted(frozenset(cells) - m_cells)
     form = placement_form(D, scalars)
     isotropy = next(
@@ -179,7 +180,7 @@ def check_polarization(D, scalars=None):
         None,
     )
     rank = integer_rank(pairing_rows(scaled(form)[0], cells))
-    return polarization_clauses(D.n, m_cells, isotropy, rank)
+    return polarization_clauses(D.n, marks, isotropy, rank)
 
 
 @st.composite

@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the package against.
 
 No command runs them: the entrywise rank-matrix order, cell dominance, the
-Bruhat order by full dominance tables, Fraction placement forms and their
-scaling to integers, the Bareiss rank, the tangent rank over every
-generator, the normalizing diagonal and 4-board quadratic of the paper's
-examples, and the forest test and maximum matching of a bipartite graph.
+mark cells as sets of cells, the Bruhat order by full dominance tables,
+Fraction placement forms and their scaling to integers, the Bareiss rank,
+the tangent rank over every generator, the normalizing diagonal and 4-board
+quadratic of the paper's examples, and the forest test and maximum matching
+of a bipartite graph.
 They stay independent of the code they check: nothing here comes from the
 exact engine ``rookposet.exactlin``, which takes integers only.
 """
@@ -45,6 +46,23 @@ def involution_placement(sigma: Sequence[int]) -> RookPlacement:
     """The placement on the m-board with one rook per 2-cycle of sigma."""
     cycles = two_cycles(tuple(sigma))  # raises ValueError
     return placement(len(sigma), cycles)
+
+
+def mark_cells(D: RookPlacement) -> tuple[tuple[int, frozenset[Cell], frozenset[Cell]], ...]:
+    """The per-rook (j, M_j, P_j) cells of D, rooks scanned by ascending column.
+
+    For a rook (i, j): M_j holds (i, q) for j < q < i unless (q, j) was
+    already marked by an earlier rook; P_j holds the partner (q, j) of every
+    (i, q) in M_j.
+    """
+    marked: set[Cell] = set()
+    per: list[tuple[int, frozenset[Cell], frozenset[Cell]]] = []
+    for i, j in D.rooks:
+        m_j = frozenset(Cell(i, q) for q in range(j + 1, i) if Cell(q, j) not in marked)
+        p_j = frozenset(Cell(c.col, j) for c in m_j)
+        marked |= m_j
+        per.append((j, m_j, p_j))
+    return tuple(per)
 
 
 def normalize_scalars(

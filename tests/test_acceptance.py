@@ -15,6 +15,7 @@ from rookposet import (
     enumerate_placements,
     kerov_involution,
     mp_sets,
+    per_rook,
     permutation_of,
     placement,
     placement_from_rank_matrix,
@@ -51,8 +52,7 @@ def test_criterion_1_golden_examples(golden8, golden8_rank_table):
 
     assert rank_matrix(golden8) == golden8_rank_table
 
-    data = mp_sets(golden8)
-    per = {col: (m, p) for col, m, p in data.per_rook}
+    per = {col: (m, p) for col, m, p in per_rook(golden8, mp_sets(golden8))}
     assert per[1][0] == {Cell(3, 2)} and per[1][1] == {Cell(2, 1)}
     assert per[2][0] == {Cell(6, 4), Cell(6, 5)}
     assert per[3][0] == {Cell(7, 4), Cell(7, 5), Cell(7, 6)}
@@ -63,7 +63,7 @@ def test_criterion_1_golden_examples(golden8, golden8_rank_table):
     assert kerov_involution(golden8) == (4, 2, 10, 1, 12, 6, 8, 7, 9, 3, 14, 5, 13, 11)
 
     chain6 = placement(6, [(3, 1), (5, 2), (4, 3), (6, 4)])
-    dims = dimensions(chain6, mp_sets(chain6).m_cells)
+    dims = dimensions(chain6, mp_sets(chain6))
     assert dims.dim_theta == 4
     assert dims.length == 10
     assert dims.length - len(chain6.rooks) == 6
@@ -176,7 +176,7 @@ def test_criterion_8_orthogonal_sharpness():
     for n in range(1, 8):
         for D in enumerate_placements(n):
             if all(len(chain) <= 2 for chain in chains(D)):
-                dims = dimensions(D, mp_sets(D).m_cells)
+                dims = dimensions(D, mp_sets(D))
                 assert dims.dim_theta == dims.length - len(D.rooks), D
                 checked += 1
     assert checked > 0

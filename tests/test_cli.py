@@ -10,7 +10,6 @@ import pytest
 import rookposet
 from rookposet import (
     Cell,
-    MPData,
     cli,
     from_json,
     permutation_of,
@@ -398,7 +397,7 @@ def test_cyclic_support_is_verification_failure(monkeypatch, capsys):
     # the clauses that need no rank are still checked: M = {(3,1)} breaks two
     # (see test_thm24_reports_failed_clauses), and only they are reported
     real_mp = suites.mp_sets
-    fake = MPData((), frozenset({Cell(3, 1)}), frozenset())
+    fake = (0, 0, 0, 1 << 1, 0)  # M = {(3,1)}
     monkeypatch.setattr(suites, "mp_sets", lambda D: fake if D == THM24_TARGET else real_mp(D))
     failures = failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys)
     assert [f.get("check") for f in failures] == ["forest", None]
@@ -426,8 +425,8 @@ def test_thm24_reports_raised_matchings(monkeypatch, capsys):
     # pairing and the Borel tangent
     real = suites._support_certificate
 
-    def support_certificate(D, m_cells):
-        cert = real(D, m_cells)
+    def support_certificate(D, marks):
+        cert = real(D, marks)
         return cert._replace(matching=cert.matching + 1) if D == THM24_TARGET else cert
 
     monkeypatch.setattr(suites, "_support_certificate", support_certificate)
@@ -467,7 +466,7 @@ def test_thm24_reports_failed_clauses(monkeypatch, capsys):
     # with M = {(3,1)} in place of {(3,2)}, the pairing edge (2,1)-(3,2) joins two
     # complement cells, and [e(3,2), e(2,1)] lands on (3,1) in M
     real = suites.mp_sets
-    fake = MPData((), frozenset({Cell(3, 1)}), frozenset())
+    fake = (0, 0, 0, 1 << 1, 0)  # M = {(3,1)}
     monkeypatch.setattr(suites, "mp_sets", lambda D: fake if D == THM24_TARGET else real(D))
     assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [
         {
@@ -477,6 +476,27 @@ def test_thm24_reports_failed_clauses(monkeypatch, capsys):
                 "codimension": {"ok": True, "witness": 5},
                 "maximality": {"ok": True, "witness": 2},
                 "subalgebra": {"ok": False, "witness": [3, 2, 1]},
+            },
+        }
+    ]
+
+
+def test_thm24_reports_a_failed_codimension(monkeypatch, capsys):
+    # with M = {(3,3)}, a diagonal cell, in place of {(3,2)}: the complement
+    # misses no lower cell, so it keeps all 6, and the pairing edge
+    # (2,1)-(3,2) joins two complement cells; |M| is still 1, so the rank 2
+    # is maximal, and no lower cell of M breaks the subalgebra
+    real = suites.mp_sets
+    fake = (0, 0, 0, 1 << 3, 0)
+    monkeypatch.setattr(suites, "mp_sets", lambda D: fake if D == THM24_TARGET else real(D))
+    assert failure_list(["verify", "--suite", "thm24", "--n", "4"], capsys) == [
+        {
+            "placement": THM24_TARGET_JSON,
+            "clauses": {
+                "isotropy": {"ok": False, "witness": [[2, 1], [3, 2]]},
+                "codimension": {"ok": False, "witness": 6},
+                "maximality": {"ok": True, "witness": 2},
+                "subalgebra": {"ok": True, "witness": None},
             },
         }
     ]

@@ -1,10 +1,12 @@
+import json
 import random
 from collections import Counter
 
 from hypothesis import given, settings
 
-from rookposet import Cell, dimensions, enumerate_placements, mp_sets, placement
+from rookposet import Cell, dimensions, enumerate_placements, mp_sets, per_rook, placement, to_json
 from rookposet.board import all_lower_cells
+from rookposet.cli import run
 from rookposet.exactlin import random_scalars
 from rookposet import polarization
 from rookposet.polarization import (
@@ -19,6 +21,7 @@ from oracles import (
     Scope,
     bracket_row,
     is_forest,
+    mark_cells,
     maximum_matching,
     placement_form,
     scaled,
@@ -30,48 +33,95 @@ def cells(*pairs):
     return frozenset(Cell(*p) for p in pairs)
 
 
+def unions(per):
+    """M and P: the unions of the per-rook cells that the decoder gives."""
+    return frozenset(c for _, m, _ in per for c in m), frozenset(c for _, _, p in per for c in p)
+
+
+def oracle_marks(D):
+    """The row masks of the oracle's mark cells: bit q of entry i for each (i, q) in M."""
+    marks = [0] * (D.n + 1)
+    for _, m, _ in mark_cells(D):
+        for i, q in m:
+            marks[i] |= 1 << q
+    return tuple(marks)
+
+
 def test_mp_sets_golden(golden8):
-    data = mp_sets(golden8)
-    per = {col: (m, p) for col, m, p in data.per_rook}
+    marks = mp_sets(golden8)
+    assert marks == (0, 0, 0, 0b100, 0, 0, 0b110000, 0b1110000, 0)
+    data = per_rook(golden8, marks)
+    per = {col: (m, p) for col, m, p in data}
     assert per[1] == (cells((3, 2)), cells((2, 1)))
     assert per[2] == (cells((6, 4), (6, 5)), cells((4, 2), (5, 2)))
     assert per[3] == (cells((7, 4), (7, 5), (7, 6)), cells((4, 3), (5, 3), (6, 3)))
     assert per[4] == (frozenset(), frozenset())
     assert per[6] == (frozenset(), frozenset())
-    assert data.m_cells == cells((3, 2), (6, 4), (6, 5), (7, 4), (7, 5), (7, 6))
-    assert data.p_cells == cells((2, 1), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3))
+    m_cells, p_cells = unions(data)
+    assert m_cells == cells((3, 2), (6, 4), (6, 5), (7, 4), (7, 5), (7, 6))
+    assert p_cells == cells((2, 1), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3))
 
 
 def test_mp_sets_empty():
-    data = mp_sets(placement(5, []))
-    assert data.per_rook == ()
-    assert data.m_cells == frozenset()
-    assert data.p_cells == frozenset()
+    D = placement(5, [])
+    assert mp_sets(D) == (0,) * 6
+    assert per_rook(D, mp_sets(D)) == ()
 
 
 def test_mp_sets_chain6(chain6):
-    data = mp_sets(chain6)
-    assert data.m_cells == cells((3, 2), (5, 4))
-    assert data.p_cells == cells((2, 1), (4, 2))
+    m_cells, p_cells = unions(per_rook(chain6, mp_sets(chain6)))
+    assert m_cells == cells((3, 2), (5, 4))
+    assert p_cells == cells((2, 1), (4, 2))
+
+
+def test_mp_sets_matches_the_cell_oracle():
+    for n in range(1, 9):
+        for D in enumerate_placements(n):
+            marks = mp_sets(D)
+            assert marks == oracle_marks(D)
+            assert per_rook(D, marks) == mark_cells(D)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(placements())
+def test_mp_sets_matches_the_cell_oracle_beyond_enumeration(D):
+    marks = mp_sets(D)
+    assert marks == oracle_marks(D)
+    assert per_rook(D, marks) == mark_cells(D)
+
+
+def test_marks_extend_the_prefix_marks():
+    # the marks of a placement are those of its prefix (the placement without
+    # its last rook (i, j) in column order) with only marks[i] changed, so a
+    # walk down the enumeration tree can carry them from node to node
+    for n in range(1, 10):
+        marks = {D.rooks: mp_sets(D) for D in enumerate_placements(n)}
+        for rooks, own in marks.items():
+            if rooks:
+                i = rooks[-1].row
+                extended = list(marks[rooks[:-1]])
+                extended[i] = own[i]
+                assert tuple(extended) == own
 
 
 def test_mp_per_rook_cardinalities_and_disjointness():
     for n in range(1, 8):
         for D in enumerate_placements(n):
-            data = mp_sets(D)
-            for _, m, p in data.per_rook:
+            data = per_rook(D, mp_sets(D))
+            m_cells, p_cells = unions(data)
+            for _, m, p in data:
                 assert len(m) == len(p)
-            assert not data.m_cells & set(D.rooks)
-            assert not data.p_cells & set(D.rooks)
-            assert not data.m_cells & data.p_cells
+            assert not m_cells & set(D.rooks)
+            assert not p_cells & set(D.rooks)
+            assert not m_cells & p_cells
             # unions are disjoint across rooks
-            assert sum(len(m) for _, m, _ in data.per_rook) == len(data.m_cells)
-            assert sum(len(p) for _, _, p in data.per_rook) == len(data.p_cells)
+            assert sum(len(m) for _, m, _ in data) == len(m_cells)
+            assert sum(len(p) for _, _, p in data) == len(p_cells)
 
 
 def test_complement_counts(golden8, chain6):
     def complement(D):
-        return frozenset(all_lower_cells(D.n)) - mp_sets(D).m_cells
+        return frozenset(all_lower_cells(D.n)) - unions(per_rook(D, mp_sets(D)))[0]
 
     assert len(complement(placement(4, []))) == 6
     assert len(complement(golden8)) == 28 - 6
@@ -79,20 +129,20 @@ def test_complement_counts(golden8, chain6):
 
 
 def test_subalgebra_witness_examples(golden8):
-    assert _subalgebra_witness(mp_sets(golden8).m_cells) is None
-    assert _subalgebra_witness(mp_sets(placement(4, [])).m_cells) is None
+    assert _subalgebra_witness(mp_sets(golden8)) is None
+    assert _subalgebra_witness(mp_sets(placement(4, []))) is None
     # no placement has a witness, but the mark set {(3,1)} alone does
-    assert _subalgebra_witness(cells((3, 1))) == (3, 2, 1)
+    assert _subalgebra_witness((0, 0, 0, 1 << 1)) == (3, 2, 1)
 
 
 def test_subalgebra_witness_exhaustive():
     for n in range(1, 8):
         for D in enumerate_placements(n):
-            assert _subalgebra_witness(mp_sets(D).m_cells) is None
+            assert _subalgebra_witness(mp_sets(D)) is None
 
 
 def test_dimensions_chain6(chain6):
-    dims = dimensions(chain6, mp_sets(chain6).m_cells)
+    dims = dimensions(chain6, mp_sets(chain6))
     assert dims.dim_theta == 4
     assert dims.length == 10
     assert dims.length - len(chain6.rooks) == 6
@@ -101,12 +151,12 @@ def test_dimensions_chain6(chain6):
 
 
 def test_dimensions_empty():
-    dims = dimensions(placement(4, []), frozenset())
+    dims = dimensions(placement(4, []), (0,) * 5)
     assert (dims.dim_theta, dims.dim_omega, dims.length) == (0, 0, 0)
 
 
 def test_dimensions_golden(golden8):
-    dims = dimensions(golden8, mp_sets(golden8).m_cells)
+    dims = dimensions(golden8, mp_sets(golden8))
     assert dims.dim_theta == 12
     assert dims.dim_omega == 17
     assert dims.length == 17
@@ -115,13 +165,16 @@ def test_dimensions_golden(golden8):
 def test_dimension_bounds_exhaustive():
     for n in range(1, 8):
         for D in enumerate_placements(n):
-            dims = dimensions(D, mp_sets(D).m_cells)  # raises BoundViolation on any breach
+            dims = dimensions(D, mp_sets(D))  # raises BoundViolation on any breach
             assert dims.dim_theta <= dims.length - len(D.rooks)
             assert dims.dim_omega <= dims.length
 
 
-def test_mp_json_shape(chain6):
-    blob = mp_sets(chain6).to_json()
+def test_mp_json_shape(chain6, tmp_path, capsys):
+    path = tmp_path / "chain6.json"
+    path.write_text(json.dumps(to_json(chain6)))
+    assert run(["analyze", str(path), "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)["mp"]
     assert blob["M"] == [[3, 2], [5, 4]]
     assert blob["P"] == [[2, 1], [4, 2]]
     assert blob["per_rook"]["1"] == {"M": [[3, 2]], "P": [[2, 1]]}
@@ -161,7 +214,7 @@ def test_support_certificate_matches_dense_action(monkeypatch):
     rng = random.Random(24)
     for D in chosen:
         seen.clear()
-        cert = _support_certificate(D, mp_sets(D).m_cells)
+        cert = _support_certificate(D, mp_sets(D))
         [edges] = seen  # one forest test per placement
         assert len(set(edges)) == len(edges)
         # each cell has at most one edge of each kind: paths and even cycles only
@@ -181,11 +234,11 @@ def test_support_certificate_matches_dense_action(monkeypatch):
 
 
 def test_support_certificate_golden(golden8):
-    cert = _support_certificate(golden8, mp_sets(golden8).m_cells)
-    dims = dimensions(golden8, mp_sets(golden8).m_cells)
+    cert = _support_certificate(golden8, mp_sets(golden8))
+    dims = dimensions(golden8, mp_sets(golden8))
     assert (cert.cycle, cert.matching, cert.isotropy) == (None, 12, None)
     assert dims.dim_omega == 12 + 5 and dims.dim_theta == 12
-    assert _support_certificate(placement(3, []), frozenset()) == SupportCertificate(None, 0, None)
+    assert _support_certificate(placement(3, []), (0,) * 4) == SupportCertificate(None, 0, None)
 
 
 def test_forest_support_reports_a_cycle():
@@ -240,14 +293,14 @@ def test_forest_support_matches_graph_oracles():
 def test_isotropy_reports_an_edge_between_complement_cells(golden8):
     # with M taken as empty, every pairing edge joins two complement cells;
     # the first is (k,q)-(p,k) for the first rook (3,1) and k = 2
-    assert _support_certificate(golden8, frozenset()).isotropy == (Cell(2, 1), Cell(3, 2))
+    assert _support_certificate(golden8, (0,) * 9).isotropy == (Cell(2, 1), Cell(3, 2))
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(placements())
 def test_support_certificate_beyond_enumeration(D):
-    cert = _support_certificate(D, mp_sets(D).m_cells)
-    dims = dimensions(D, mp_sets(D).m_cells)  # raises BoundViolation on any breach
+    cert = _support_certificate(D, mp_sets(D))
+    dims = dimensions(D, mp_sets(D))  # raises BoundViolation on any breach
     assert cert.cycle is None
     assert cert.matching + len(D.rooks) == dims.dim_omega
     assert cert.matching == dims.dim_theta
