@@ -18,7 +18,7 @@ from .board import (
 )
 from .errors import LimitExceeded, RookError
 from .polarization import dimensions, mp_sets, per_rook
-from .poset import cover_moves, enumerate_placements, hasse_dot, poset_index
+from .poset import _key, cover_moves, enumerate_placements, hasse_dot, poset_index
 from .suites import DEFAULT_SAMPLES, SUITES, run_suite
 
 
@@ -104,7 +104,7 @@ def cmd_covers(args) -> int:
     mismatch = None
     if args.brute_force:
         idx = poset_index(D.n)
-        mismatch = idx.cover_mismatch(idx.index_of(D), [idx.index_of(m.result) for m in moves])
+        mismatch = idx.cover_mismatch(idx.index_of(D), [_key(m.result) for m in moves])
     if args.json:
         out = to_json(D)
         out["covers"] = [m.to_json() for m in moves]

@@ -2,31 +2,32 @@
 
 The five move families (remove, slide right, slide up, exchange, split) are
 defined once, in ``_steps``, with guards that make every produced placement
-an immediate predecessor in the rank-matrix order.  A step tests only its
-added cells, and a cell that leaves the board or attacks a rook is reported
-by ``board.placement``, the one rule for a valid placement.  The guards are
-not taken on faith: ``PosetIndex(n)`` enumerates the n-board and peels all
-lower covers from scratch, from bit-packed down-sets of the rank-matrix
-order along a linear extension, and ``PosetIndex.cover_mismatch`` is the
-one diff of a move list against them, for ``verify_covers`` and the
-``covers --brute-force`` command alike.  The down-sets come from the order
-engine, the only code that compares two placements: an AND of threshold
-masks (``_threshold``).  ``_cells`` reads all elements' tables at every
-cell in one pass over their point lists held as byte rows, and flags each
-element's essential cells; ``_points_order`` hands each element the tuple
-of its masks at those (``_Order``), for this order and the Bruhat orders of
-the suites, and ``d0max`` ANDs one mask per cell, at the top's entries.
+an immediate predecessor in the rank-matrix order.  A step is the packed key
+of its result (``_key``); ``cover_moves`` reads the move, its kind included,
+off the key's diff with D's.  A step tests only its added cells
+(``_blocked``), and a cell that leaves the board or attacks a rook is
+reported by ``board.placement``, the one rule for a valid placement.  The
+guards are not taken on faith: ``PosetIndex(n)`` enumerates the n-board and
+peels all lower covers from scratch, from bit-packed down-sets of the
+rank-matrix order along a linear extension, and
+``PosetIndex.cover_mismatch`` is the one diff of the result keys of a move
+list against them, for ``verify_covers`` and the ``covers --brute-force``
+command alike.  The down-sets come from the order engine in
+``permutations``, the only code that compares two placements, on the
+points of their rank matrices (``_rank_points``).
 """
 from __future__ import annotations
 
+from bisect import insort
 from enum import Enum
-from functools import lru_cache, reduce
-from itertools import chain, compress
-from operator import and_
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .board import Cell, RookPlacement, all_lower_cells, placement, to_json
 from .errors import LimitExceeded, NotIndexed, RookError
+from .permutations import _points_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,19 +79,41 @@ def enumerate_placements(n: int) -> list[RookPlacement]:
     """
     if not 1 <= n <= ENUM_LIMIT:
         raise LimitExceeded(f"enumeration supports 1 <= n <= {ENUM_LIMIT}, got {n}")
-    # after[c]: the cells in columns above c, in (row, col) order, with their row bits
-    cells = sorted(all_lower_cells(n))
-    after = [[(cell, 1 << cell.row) for cell in cells if cell.col > c] for c in range(n)]
+    return _walk(n)[0]
+
+
+def _walk(n: int) -> tuple[list[RookPlacement], list[int], list[int]]:
+    """The placements of ``enumerate_placements`` with their keys (``_key``) and rank-matrix sums.
+
+    A depth-first walk that adds one rook per level, in a column above the
+    last one: each extension ORs the rook's key field into its prefix's key
+    and adds the rook's rank cells to its prefix's sum.
+    """
+    w = n.bit_length()
+    # after[c]: the cells in columns above c, in (row, col) order, with their
+    # row bit, key field and rank cells: rook (a, b) counts in the
+    # C(a - b + 1, 2) cells b <= j < i <= a
+    after: list[list] = [[] for _ in range(n)]
+    for cell in sorted(all_lower_cells(n)):
+        a, b = cell
+        for c in range(b):
+            after[c].append((cell, 1 << a, b << w * a, (a - b) * (a - b + 1) // 2))
     out: list[RookPlacement] = []
+    keys: list[int] = []
+    sums: list[int] = []
+    put, put_key, put_sum = out.append, keys.append, sums.append
 
-    def extend(prefix: tuple[Cell, ...], used_rows: int, last_col: int) -> None:
-        out.append(RookPlacement(n, prefix))
-        for cell, bit in after[last_col]:
+    def extend(prefix: tuple[Cell, ...], used_rows: int, last_col: int, key: int, total: int) -> None:
+        put(RookPlacement(n, prefix))
+        put_key(key)
+        put_sum(total)
+        for cell, bit, field, size in after[last_col]:
             if not used_rows & bit:
-                extend(prefix + (cell,), used_rows | bit, cell.col)
+                extend(prefix + (cell,), used_rows | bit, cell.col, key | field, total + size)
 
-    extend((), 0, 0)
-    return out
+    extend((), 0, 0, 0, 0)
+    del extend  # it holds itself, and so the lists, in a cycle
+    return out, keys, sums
 
 
 def bell_number(n: int) -> int:
@@ -120,38 +143,39 @@ def _key(D: RookPlacement) -> int:
     return key
 
 
-def _check_added(D: RookPlacement, rows: int, cols: int, removed: tuple, added: tuple) -> None:
-    """Raise what ``placement`` raises when an added cell leaves the board or attacks.
+def _blocked(n: int, rows: int, cols: int, x: int, y: int, u: int | None = None, v: int = 0) -> bool:
+    """Whether a step's added cell (x, y), and (u, v) after it when u is given, fails.
 
-    ``rows`` and ``cols`` are D's occupied rows and columns as bit masks.  The
-    rooks that stay come from a valid placement, so only an added cell can be
-    at fault; ``placement`` is then given the rooks that stay followed by the
-    added ones.
+    ``rows`` and ``cols`` are the bit masks of the rows and columns of D's
+    rooks that the step keeps.  A cell fails when it leaves the n-board or
+    shares a row or a column with them or with the cell added before it.
     """
-    for i, j in removed:
-        rows ^= 1 << i
-        cols ^= 1 << j
-    for i, j in added:
-        if not 1 <= j < i <= D.n or (rows >> i | cols >> j) & 1:
-            placement(D.n, [c for c in D.rooks if c not in removed] + list(added))
-        rows |= 1 << i
-        cols |= 1 << j
+    if not 0 < y < x <= n or (rows >> x | cols >> y) & 1:
+        return True
+    return u is not None and (not 0 < v < u <= n or u == x or v == y or (rows >> u | cols >> v) & 1 == 1)
 
 
-Step = tuple[MoveKind, tuple[Cell, ...], tuple[tuple[int, int], ...], int]  # kind, removed, added, key
+def _refuse(D: RookPlacement, removed: tuple, added: tuple) -> None:
+    """Raise what ``placement`` raises on the rooks of D that a step keeps, followed by its added cells.
+
+    ``_steps`` calls it for a step that ``_blocked`` fails; the kept rooks
+    come from a valid placement, so ``placement`` names an added cell.
+    """
+    placement(D.n, [c for c in D.rooks if c not in removed] + list(added))
 
 
-def _steps(D: RookPlacement) -> list[Step]:
-    """Every guarded move out of D (see ``cover_moves``): (kind, removed, added, result key).
+def _steps(D: RookPlacement) -> list[int]:
+    """The result keys of every guarded move out of D (see ``cover_moves``).
 
     D must be a valid placement.  Its occupied rows, occupied columns and
     doubly occupied indices are read once as bit masks, with the rows of
     each prefix of its rooks, so every guard is a mask test, those on the
     dominated rooks included.  One pass over the rooks collects the steps of
-    each family.  A step's key is D's ``_key`` updated by the cells it moves; its
-    added cells are plain (row, column) pairs, tested by ``_check_added``,
-    and no placement is built.  Two steps may reach the same placement; the
-    steps come family by family, in the order of their rooks.
+    each family.  A step's key is D's ``_key`` updated by the cells it moves,
+    and no placement is built.  Its added cells are tested against the
+    masks of the rooks it keeps by ``_blocked``, and a step that fails goes
+    to ``placement`` by ``_refuse``.  The keys come family by family
+    (removes, slides, exchanges, splits), in the order of their rooks.
     """
     n, rooks = D.n, D.rooks
     w = n.bit_length()
@@ -166,7 +190,7 @@ def _steps(D: RookPlacement) -> list[Step]:
     removes, slides, exchanges, splits = [], [], [], []
     for p, cell in enumerate(rooks):
         i, j = cell
-        removed = (cell,)
+        kept_rows, kept_cols = rows ^ 1 << i, cols ^ 1 << j  # those of the other rooks
         inside = (1 << i) - (2 << j)  # the indices strictly between j and i
         # the rooks strictly South-West of (i, j) are the later ones with a
         # smaller row, and those among them with a column below c are the
@@ -179,7 +203,7 @@ def _steps(D: RookPlacement) -> list[Step]:
         # intermediate D - (i, j) + (k, j), a free column likewise (the
         # minimal rooks ascend in row as in column, so these come sorted)
         if not later & (1 << i) - 1 and not ~both & inside:
-            removes.append((MoveKind.REMOVE, removed, (), key - (j << w * i)))
+            removes.append(key - (j << w * i))
 
         # (i, j) slides to the first free column and to the last free row
         # strictly between j and i, when no row in (j, right], no column in
@@ -188,15 +212,15 @@ def _steps(D: RookPlacement) -> list[Step]:
         free = ~cols & inside
         right = (free & -free).bit_length() - 1
         if free and not ~rows & (2 << right) - (2 << j) and not (upto[p + right - j] ^ here) & (1 << i) - 1:
-            added = ((i, right),)
-            _check_added(D, rows, cols, removed, added)
-            slides.append((MoveKind.SLIDE_RIGHT, removed, added, key + (right - j << w * i)))
+            if _blocked(n, kept_rows, kept_cols, i, right):
+                _refuse(D, (cell,), ((i, right),))
+            slides.append(key + (right - j << w * i))
         free = ~rows & inside  # the free rows a with j < a < i
         up = free.bit_length() - 1
         if up > j and not ~cols & (1 << i) - (1 << up) and not later & (1 << i) - (2 << up):
-            added = ((up, j),)
-            _check_added(D, rows, cols, removed, added)
-            slides.append((MoveKind.SLIDE_UP, removed, added, key - (j << w * i) + (j << w * up)))
+            if _blocked(n, kept_rows, kept_cols, up, j):
+                _refuse(D, (cell,), ((up, j),))
+            slides.append(key - (j << w * i) + (j << w * up))
 
         # the partners are the rooks with a smaller column and a larger row
         # than cell and no rook between; scanning down the columns, ceiling
@@ -210,10 +234,9 @@ def _steps(D: RookPlacement) -> list[Step]:
                     ceiling = other[0]
         for other in reversed(partners):
             a, b = other
-            added = ((i, b), (a, j))
-            _check_added(D, rows, cols, (cell, other), added)
-            moved = key + (b - j) * ((1 << w * i) - (1 << w * a))
-            exchanges.append((MoveKind.EXCHANGE, (cell, other), added, moved))
+            if _blocked(n, kept_rows ^ 1 << a, kept_cols ^ 1 << b, i, b, a, j):
+                _refuse(D, (cell, other), ((i, b), (a, j)))
+            exchanges.append(key + (b - j) * ((1 << w * i) - (1 << w * a)))
 
         while free:
             a = (free & -free).bit_length() - 1
@@ -229,10 +252,14 @@ def _steps(D: RookPlacement) -> list[Step]:
             if b < i and (b == a or rows >> b & 1):
                 under = upto[p + 1 + (cols & (1 << b) - (2 << j)).bit_count()] ^ here
                 if not under & (1 << i) - (2 << a):
-                    added = ((i, b), (a, j))
-                    _check_added(D, rows, cols, removed, added)
-                    splits.append((MoveKind.SPLIT, removed, added, key + (b - j << w * i) + (j << w * a)))
+                    if _blocked(n, kept_rows, kept_cols, i, b, a, j):
+                        _refuse(D, (cell,), ((i, b), (a, j)))
+                    splits.append(key + (b - j << w * i) + (j << w * a))
     return removes + slides + exchanges + splits
+
+
+#: the kind of a move by its numbers of removed and added rooks; one and one is a slide
+_KINDS = {(1, 0): MoveKind.REMOVE, (2, 2): MoveKind.EXCHANGE, (1, 2): MoveKind.SPLIT}
 
 
 def cover_moves(D: RookPlacement) -> list[CoverMove]:
@@ -250,65 +277,51 @@ def cover_moves(D: RookPlacement) -> list[CoverMove]:
       column a are occupied when a != b, and each rook dominated by (i,j)
       stays dominated by (a,j) or (i,b).
 
-    D must be a valid placement.  The moves are the steps of ``_steps``;
-    distinct moves reaching the same placement are merged (same key, first
-    tag wins; generation order is deterministic), and only the first builds
-    its result and makes its added cells ``Cell``s.
+    D must be a valid placement.  The moves are the distinct result keys of
+    ``_steps``, in the order they first come.  Each is read off its diff with
+    D's key, in the rows it changes alone: the removed rooks are D's rooks in
+    those rows, highest column first, and the added cells the rooks of the
+    result there, the one in the first removed rook's row first.  The kind
+    follows from the shape: one rook removed and none added is a remove, one
+    and one a slide, right within a row and up within a column, two and two
+    an exchange, one and two a split.
     """
-    found: dict[int, CoverMove] = {}
-    for kind, removed, added, key in _steps(D):
-        if key not in found:
-            added = tuple(Cell(i, j) for i, j in added)
-            rest = [c for c in D.rooks if c not in removed] + list(added)
-            rest.sort(key=lambda c: c.col)
-            found[key] = CoverMove(kind, removed, added, RookPlacement(D.n, tuple(rest)))
-    return list(found.values())
+    n, w = D.n, D.n.bit_length()
+    field = (1 << w) - 1
+    base = _key(D)
+    by_row = {c.row: c for c in D.rooks}
+    col = itemgetter(1)
+    moves = []
+    for key in dict.fromkeys(_steps(D)):
+        changed = []  # the rows whose fields differ
+        diff = key ^ base
+        while diff:
+            i = (diff.bit_length() - 1) // w
+            changed.append(i)
+            diff ^= diff >> w * i << w * i
+        removed = [by_row[i] for i in changed if i in by_row]
+        if len(removed) > 1:
+            removed.sort(key=col, reverse=True)
+        first = removed[0].row
+        if changed[0] != first:
+            changed.sort(key=first.__ne__)
+        added = tuple([Cell(i, j) for i in changed if (j := key >> w * i & field)])
+        shape = len(removed), len(added)
+        if shape == (1, 1):
+            kind = MoveKind.SLIDE_RIGHT if added[0].row == first else MoveKind.SLIDE_UP
+        else:
+            kind = _KINDS[shape]
+        rest = list(D.rooks)
+        for cell in removed:
+            rest.remove(cell)
+        for cell in added:
+            insort(rest, cell, key=col)
+        moves.append(CoverMove(kind, tuple(removed), added, RookPlacement(n, tuple(rest))))
+    return moves
 
 
 # ---------------------------------------------------------------------------
-# The order engine
-
-
-def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], bytes, bytes]]:
-    """Per cell (I, J), the tables T(I, J) = #{x <= I : point of row x >= J} of all point lists at once.
-
-    ``rows[x - 1]`` holds row x of every list, byte p the column of list p's
-    point there (0: none; no two rows of a list share a column), and T lives
-    on the cells 1 <= I, J <= m with J - I >= band.  A table T' there is <= T
-    iff it is at T's essential cells (Fulton): T' is monotone with steps of 0
-    or 1, so a cell follows from a neighbour unless N: row I has no point at
-    a column >= J; E: column J has none at a row <= I; S: (I + 1, J) is off
-    the table or row I + 1 has its point at a column >= J; W: (I, J - 1) is
-    off the table or column J - 1 has its point at a row <= I.  Each test is
-    an int with one byte, 0 or 1, per list: T(I, J) sums the rows <= I read
-    as 1 where the point is >= J, and column J has a point at a row <= I
-    where T(I, J) - T(I, J + 1) is 1; as m < 255, no byte carries.  Yields
-    every cell of the band, row by row, T(I, J) as bytes, and key bytes:
-    T(I, J) + 1 for the lists the cell is essential for, 0 for the others.
-    """
-    size, m = len(rows[0]), len(rows)
-    ones = int.from_bytes(b"\1" * size, "little")
-    tables = [bytes(J) + b"\1" * (256 - J) for J in range(m + 1)]  # byte v to 1 iff v >= J
-    # each row read as 1 at index J where its point is >= J; below the last row S holds
-    reads = ([int.from_bytes(row.translate(table), "little") for table in tables] for row in rows)
-    reads = chain(reads, [[ones] * (m + 1)])
-    total = [0] * (m + 2)  # total[J] = T(I, J), and T(I, m + 1) = 0
-    here = next(reads)
-    for I, below in enumerate(reads, start=1):
-        for J in range(1, m + 1):
-            total[J] += here[J]
-        for J in range(max(1, I + band), m + 1):
-            flags = (here[J] | total[J] - total[J + 1]) ^ ones  # N and E
-            if J > I + band:  # on the band's edge J = I + band, S and W hold
-                flags &= below[J] & (total[J - 1] - total[J] if J > 1 else ones)
-            key = (total[J] + ones) & flags * 255
-            yield (I, J), total[J].to_bytes(size, "little"), key.to_bytes(size, "little")
-        here = below
-
-
-def _threshold(column: bytes, v: int) -> int:
-    """{p : column[p] <= v} as an int, position p at bit p: the bytes, last first, as binary digits."""
-    return int(column[::-1].translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+# The brute-force oracle
 
 
 def _rank_points(D: RookPlacement) -> list[int]:
@@ -319,66 +332,6 @@ def _rank_points(D: RookPlacement) -> list[int]:
     return points
 
 
-class _Order:
-    """An order on elements at bit positions 0, 1, ..., size - 1, by the threshold masks of each.
-
-    ``masks[q]`` holds, per essential cell c of q's table, {p : T_p(c) <= T_q(c)}
-    with position p at bit p, so p <= q iff p is in all of them and Down(q)
-    is their AND; no down-set is kept.
-    """
-
-    def __init__(self, masks: list[tuple[int, ...]]):
-        self._masks = masks
-        self._all = (1 << len(masks)) - 1
-
-    def down(self, q: int) -> int:
-        return reduce(and_, self._masks[q], self._all)
-
-    def lower_covers(self, q: int) -> list[int]:
-        """Positions of q's lower covers, highest first, when positions ascend along a linear extension.
-
-        The highest position t left in Down(q) - {q} is under no cover found so far, so it
-        is a cover; clearing Down(t), built within the positions left, removes only non-covers.
-        """
-        masks = self._masks
-        rest = reduce(and_, masks[q], (2 << q) - 1) ^ 1 << q
-        found = []
-        t = q
-        while rest:
-            last, t = t, rest.bit_length() - 1
-            if t == last:  # a position missing from its own down-set is never cleared
-                raise ValueError(f"position {t} is not in its own down-set")
-            found.append(t)
-            rest ^= reduce(and_, masks[t], rest)
-        return found
-
-
-def _points_order(points: Iterable[Sequence[int]], band: int) -> _Order:
-    """The order of the point lists at their positions, by their tables (see ``_cells``).
-
-    The lists, of one length m, are read once into rows, so a caller that
-    passes a generator holds none of them while the masks are built.  At each
-    cell, the positions it is essential for share one threshold mask per
-    value; they are picked out of the key bytes by ``compress``, and a cell
-    essential for none is skipped before its key is walked.
-    """
-    rows = [bytes(row) for row in zip(*points)]
-    positions = range(len(rows[0]))
-    masks: list[tuple[int, ...]] = [()] * len(positions)
-    for _, column, key in _cells(rows, band):
-        values = key.translate(None, b"\0")  # the keys of the flagged positions, in position order
-        if not values:
-            continue
-        shared = {k: (_threshold(column, k - 1),) for k in set(values)}
-        for p, mask in zip(compress(positions, key), map(shared.__getitem__, values)):
-            masks[p] += mask
-    return _Order(masks)
-
-
-# ---------------------------------------------------------------------------
-# The brute-force oracle
-
-
 class PosetIndex:
     """All placements of the n-board, in enumeration order, and their rank-matrix order.
 
@@ -386,8 +339,9 @@ class PosetIndex:
     rank-matrix sums the placements form a linear extension, ``_by_position``,
     in which ``_order`` holds the masks read off their rank matrices' points
     (``_rank_points``); lower covers are peeled from it on request.
-    A placement's id is its place in the enumeration, looked up by its
-    packed key (``_key``) in ``index_of``.  The dense order
+    A placement's id is its place in the enumeration, and ``_at`` gives its
+    position by its packed key (``_key``); the walk that enumerates the
+    placements hands over their keys and rank-matrix sums.  The dense order
     and cover relations, 17 MB each at n=8, are numpy bool matrices built on
     request and not kept; only they import numpy.
     """
@@ -396,13 +350,13 @@ class PosetIndex:
         if not 1 <= n <= INDEX_LIMIT:
             raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
         self.n = n
-        self.placements = placements = enumerate_placements(n)
-        self._ids = {_key(D): k for k, D in enumerate(placements)}
-        # rook (a, b) counts in the C(a - b + 1, 2) rank cells b <= j < i <= a,
-        # and a < b entrywise makes the sum grow strictly
-        sums = [sum((a - b) * (a - b + 1) // 2 for a, b in D.rooks) for D in placements]
+        placements, keys, sums = _walk(n)
+        self.placements = placements
+        # a < b entrywise makes the rank-matrix sum grow strictly
         self._by_position = sorted(range(len(placements)), key=sums.__getitem__)
         self._position = sorted(range(len(placements)), key=self._by_position.__getitem__)
+        self._at = dict(zip(map(keys.__getitem__, self._by_position), range(len(placements))))
+        del keys, sums  # not held while the masks are built, the peak of the build
         self._order = _points_order((_rank_points(placements[k]) for k in self._by_position), 1)
 
     @property
@@ -426,7 +380,8 @@ class PosetIndex:
         return out
 
     def index_of(self, D: RookPlacement) -> int:
-        k = self._ids.get(_key(D)) if D.n == self.n else None
+        q = self._at.get(_key(D)) if D.n == self.n else None
+        k = None if q is None else self._by_position[q]
         if k is None or self.placements[k] != D:
             raise NotIndexed(f"{D} is not a placement of the {self.n}-board index")
         return k
@@ -435,22 +390,24 @@ class PosetIndex:
         """Ids of the immediate predecessors of placement d, ascending."""
         return sorted(map(self._by_position.__getitem__, self._order.lower_covers(self._position[d])))
 
-    def cover_mismatch(self, d: int, got: Sequence[int]) -> dict | None:
-        """None if ``got`` are exactly the ids of d's lower covers, else the missing and extra ones, by id.
+    def cover_mismatch(self, d: int, keys: Iterable[int]) -> dict | None:
+        """None if ``keys`` are exactly the keys of d's lower covers, else the missing and extra ones, by id.
 
-        A match is tested as the peel's list of positions, highest first; a
-        repeated id fails that test and, like any other, goes to the set diff.
+        The keys are read as positions; a match is tested as the peel's list
+        of positions, highest first.  A repeated key fails that test and, like
+        any other, goes to the set diff.
         """
-        position = self._position
-        covers = self._order.lower_covers(position[d])
-        if sorted(map(position.__getitem__, got), reverse=True) == covers:
+        covers = self._order.lower_covers(self._position[d])
+        got = sorted(map(self._at.__getitem__, keys), reverse=True)
+        if got == covers:
             return None
-        got, expected = set(got), set(map(self._by_position.__getitem__, covers))
+        got, expected = set(got), set(covers)
         if got == expected:
             return None
+        ids = self._by_position
         return {
-            "missing": [to_json(self.placements[t]) for t in sorted(expected - got)],
-            "extra": [to_json(self.placements[t]) for t in sorted(got - expected)],
+            "missing": [to_json(self.placements[t]) for t in sorted(ids[q] for q in expected - got)],
+            "extra": [to_json(self.placements[t]) for t in sorted(ids[q] for q in got - expected)],
         }
 
 
@@ -462,21 +419,19 @@ def poset_index(n: int) -> PosetIndex:
 def verify_covers(n: int) -> tuple[int, list[dict]]:
     """Compare the move calculus with the brute-force covers, placement by placement.
 
-    Each step's result is looked up by its key, so no result is built.
-    Returns the number of placements checked and one witness per mismatch.  A
-    move that raises (say, a result with attacking rooks) is a mismatch too,
-    whose witness carries the error.
+    The steps' result keys go to the cover diff as they are, so no result
+    is built.  Returns the number of placements checked and one witness per
+    mismatch.  A move that raises (say, a result with attacking rooks) is a
+    mismatch too, whose witness carries the error.
     """
     idx = poset_index(n)
-    ids = idx._ids
     failures: list[dict] = []
     for d, D in enumerate(idx.placements):
         try:
-            got = [ids[step[3]] for step in _steps(D)]
+            mismatch = idx.cover_mismatch(d, _steps(D))
         except RookError as exc:
             failures.append({"placement": to_json(D), "error": str(exc)})
             continue
-        mismatch = idx.cover_mismatch(d, got)
         if mismatch:
             failures.append({"placement": to_json(D), **mismatch})
     return len(idx.placements), failures

@@ -21,12 +21,9 @@ from .board import Cell, kerov_involution, permutation_of, placement_from_rank_m
 from .errors import BoundViolation
 from .exactlin import _integer_action, random_scalars, random_upper, rank_profile
 from .polarization import _support_certificate, dimensions, mp_sets, polarization_clauses
+from .permutations import _cells, _Order, _points_order, _threshold
 from .poset import (
-    _cells,
-    _Order,
-    _points_order,
     _rank_points,
-    _threshold,
     bell_number,
     enumerate_placements,
     maximal_element,

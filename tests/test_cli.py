@@ -188,7 +188,7 @@ def test_extra_move_is_verification_failure(monkeypatch, capsys):
     def steps(D):
         yield from real(D)
         if D == target:
-            yield poset.MoveKind.SLIDE_UP, (Cell(3, 1),), (Cell(2, 1),), poset._key(below)
+            yield poset._key(below)
 
     monkeypatch.setattr(poset, "_steps", steps)
     assert run(["verify", "--n", "3", "--suite", "thm33", "--json"]) == 1

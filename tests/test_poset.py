@@ -30,16 +30,8 @@ from rookposet import (
 from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard
-from rookposet.poset import (
-    _cells,
-    _check_added,
-    _key,
-    _Order,
-    _points_order,
-    _rank_points,
-    _steps,
-    _threshold,
-)
+from rookposet.permutations import _cells, _Order, _points_order, _threshold
+from rookposet.poset import _blocked, _key, _rank_points, _refuse, _steps, _walk
 
 from conftest import broadcast_pairwise_leq, lower_entries, matmul_covers, placements, reference_cover_moves
 from oracles import bruhat_leq, cell_lt, dominance_table, leq
@@ -96,6 +88,15 @@ def test_rank_sums_in_closed_form(n):
     # counts in the C(a - b + 1, 2) cells b <= j < i <= a
     for D in enumerate_placements(n):
         assert 2 * sum(map(sum, rank_matrix(D))) == sum((a - b) * (a - b + 1) for a, b in D.rooks), D
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_walk_carries_the_keys_and_rank_sums(n):
+    # the index takes each placement's key and rank-matrix sum from the walk
+    everything, keys, sums = _walk(n)
+    assert everything == enumerate_placements(n)
+    assert keys == [_key(D) for D in everything]
+    assert sums == [sum(map(sum, rank_matrix(D))) for D in everything]
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -222,37 +223,38 @@ def test_cover_moves_match_reference(n):
         ((Cell(6, 2),), ((4, 2), (4, 3))),
         ((Cell(6, 2),), ((4, 2), (6, 2))),
         ((Cell(3, 1), Cell(6, 2)), ((6, 1), (3, 2))),
+        ((Cell(6, 2),), ((2, 2),)),
+        ((Cell(6, 2),), ((6, 3), (2, 2))),
     ],
 )
 def test_moved_raises_what_placement_raises(removed, added):
     # the one added-cell test of the move calculus, on plain (row, column)
-    # pairs as the steps add them, given D's occupied rows and columns
+    # pairs as the steps add them, given the rows and columns of D's rooks
+    # that the step keeps; a step that fails it raises by _refuse.  The last
+    # two cases add (2, 2) in a row and a column the kept rooks leave free,
+    # so only the board test can fail them
     D = placement(6, [(3, 1), (6, 2), (5, 4)])
-    cells = [c for c in D.rooks if c not in removed] + list(added)
-    rows, cols = sum(1 << i for i, _ in D.rooks), sum(1 << j for _, j in D.rooks)
-
-    def moved():
-        return _check_added(D, rows, cols, removed, added)
-
+    kept = [c for c in D.rooks if c not in removed]
+    rows, cols = sum(1 << i for i, _ in kept), sum(1 << j for _, j in kept)
+    blocked = _blocked(6, rows, cols, *(x for cell in added for x in cell))
     try:
-        placement(6, cells)
+        placement(6, kept + list(added))
     except (OutOfBoard, AttackingRooks) as exc:
+        assert blocked is True
         with pytest.raises(type(exc)) as got:
-            moved()
+            _refuse(D, removed, added)
         assert str(got.value) == str(exc)
     else:
-        assert moved() is None
+        assert blocked is False
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_step_keys_are_the_keys_of_their_results(n):
-    # each family updates the key arithmetically; the merge in cover_moves
-    # keeps only the first step per key, so a wrong update in a later step
-    # would not show in the moves
+    # each family updates the key arithmetically, and no two steps reach one
+    # placement, so every step is checked in its order against the
+    # guard-by-guard oracle, not just the first one per key
     for D in enumerate_placements(n):
-        for kind, removed, added, key in _steps(D):
-            kept = [c for c in D.rooks if c not in removed]
-            assert key == _key(placement(n, kept + list(added))), (D, kind)
+        assert _steps(D) == [_key(m.result) for m in reference_cover_moves(D)], D
 
 
 def test_move_soundness_exhaustive():
@@ -284,12 +286,20 @@ def test_cover_moves_order_is_pinned():
 @settings(max_examples=50, deadline=None, database=None)
 @given(placements(max_n=30))
 def test_cover_moves_beyond_enumeration(D):
-    # each result lies strictly below D, and its key is the key of the first
-    # step that reached it
+    # each result lies strictly below D, and the moves are the steps' keys
+    # in the order they first come
     moves = cover_moves(D)
-    assert [_key(m.result) for m in moves] == list(dict.fromkeys(step[3] for step in _steps(D)))
+    assert [_key(m.result) for m in moves] == list(dict.fromkeys(_steps(D)))
     for move in moves:
         assert move.result != D and leq(move.result, D)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(placements(max_n=30))
+def test_cover_moves_match_reference_beyond_enumeration(D):
+    # the kinds, cells, results and their order that the decoder reads off
+    # the key diffs, against the guard-by-guard oracle on boards up to n = 30
+    assert cover_moves(D) == reference_cover_moves(D)
 
 
 # --- the brute-force oracle ------------------------------------------------------
