@@ -160,12 +160,9 @@ def cmd_hasse(args) -> int:
 def cmd_enumerate(args) -> int:
     everything = enumerate_placements(args.n)
     if args.count_only:
-        if args.json:
-            print(_dump({"n": args.n, "count": len(everything)}))
-        else:
-            print(len(everything))
-        return 0
-    if args.json:
+        count = sum(1 for _ in everything)
+        print(_dump({"n": args.n, "count": count}) if args.json else count)
+    elif args.json:
         print(_dump({"n": args.n, "placements": [to_json(D) for D in everything]}))
     else:
         for D in everything:

@@ -9,9 +9,9 @@ and it is the only code in the package that compares two elements.  An
 element is <= another iff its table is at most the other's at the other's
 essential cells (Fulton), and the elements whose entry at a cell is at most
 v make one threshold mask (``_threshold``).  ``_cells`` reads all elements'
-tables at every cell in one pass over their point lists held as byte rows,
-and flags each element's essential cells; ``_points_order`` hands each
-element the tuple of its masks at those (``_Order``), and the suites'
+tables at every cell in one pass over their point lists held as byte rows
+(``_byte_rows``), and flags each element's essential cells; ``_points_order``
+hands each element the tuple of its masks at those (``_Order``), and the suites'
 ``d0max`` ANDs one mask per cell, at the top's entries.
 """
 from __future__ import annotations
@@ -114,16 +114,28 @@ class _Order:
         return found
 
 
+def _byte_rows(points: Iterable[Sequence[int]]) -> list[bytes]:
+    """The point lists, of one length m, as the m byte rows ``_cells`` reads: ``rows[x][p] == points[p][x]``.
+
+    The lists are read one at a time into one buffer, and row x is its stride-m slice from x.
+    """
+    lists = iter(points)
+    flat = bytearray(next(lists))
+    m = len(flat)
+    flat.extend(chain.from_iterable(lists))
+    return [bytes(flat[x::m]) for x in range(m)]
+
+
 def _points_order(points: Iterable[Sequence[int]], band: int) -> _Order:
     """The order of the point lists at their positions, by their tables (see ``_cells``).
 
-    The lists, of one length m, are read once into rows, so a caller that
-    passes a generator holds none of them while the masks are built.  At each
-    cell, the positions it is essential for share one threshold mask per
-    value; they are picked out of the key bytes by ``compress``, and a cell
-    essential for none is skipped before its key is walked.
+    The lists are read one at a time into byte rows (``_byte_rows``), so a
+    generator's lists are never all held.  At each cell, the positions it is
+    essential for share one threshold mask per value; they are picked out of
+    the key bytes by ``compress``, and a cell essential for none is skipped
+    before its key is walked.
     """
-    rows = [bytes(row) for row in zip(*points)]
+    rows = _byte_rows(points)
     positions = range(len(rows[0]))
     masks: list[tuple[int, ...]] = [()] * len(positions)
     for _, column, key in _cells(rows, band):

@@ -7,14 +7,14 @@ of its result (``_key``); ``cover_moves`` reads the move, its kind included,
 off the key's diff with D's.  A step tests only its added cells
 (``_blocked``), and a cell that leaves the board or attacks a rook is
 reported by ``board.placement``, the one rule for a valid placement.  The
-guards are not taken on faith: ``PosetIndex(n)`` enumerates the n-board and
-peels all lower covers from scratch, from bit-packed down-sets of the
-rank-matrix order along a linear extension, and
-``PosetIndex.cover_mismatch`` is the one diff of the result keys of a move
-list against them, for ``verify_covers`` and the ``covers --brute-force``
-command alike.  The down-sets come from the order engine in
-``permutations``, the only code that compares two placements, on the
-points of their rank matrices (``_rank_points``).
+guards are not taken on faith: ``PosetIndex(n)``, the one holder of the
+n-board, reads it off the stream of ``_walk`` and peels all lower covers
+from scratch, from bit-packed down-sets of the rank-matrix order along a
+linear extension, and ``PosetIndex.cover_mismatch`` is the one diff of the
+result keys of a move list against them, for ``verify_covers`` and the
+``covers --brute-force`` command alike.  The down-sets come from the order
+engine in ``permutations``, the only code that compares two placements, on
+the points of their rank matrices (``_rank_points``).
 """
 from __future__ import annotations
 
@@ -71,23 +71,24 @@ class CoverMove(NamedTuple):
 # Enumeration
 
 
-def enumerate_placements(n: int) -> list[RookPlacement]:
-    """All placements on the n-board, lexicographic on the sorted rook tuple.
+def enumerate_placements(n: int) -> Iterator[RookPlacement]:
+    """All placements on the n-board, lexicographic on the sorted rook tuple, made as they are read.
 
     Rook tuples are column-sorted and cells compare as (row, col) pairs, so
     the empty placement comes first and prefixes precede their extensions.
+    The limit is checked at the call, and no placement is kept.
     """
     if not 1 <= n <= ENUM_LIMIT:
         raise LimitExceeded(f"enumeration supports 1 <= n <= {ENUM_LIMIT}, got {n}")
-    return _walk(n)[0]
+    return map(itemgetter(0), _walk(n))
 
 
-def _walk(n: int) -> tuple[list[RookPlacement], list[int], list[int]]:
-    """The placements of ``enumerate_placements`` with their keys (``_key``) and rank-matrix sums.
+def _walk(n: int) -> Iterator[tuple[RookPlacement, int, int]]:
+    """The placements of ``enumerate_placements``, each with its key (``_key``) and rank-matrix sum.
 
-    A depth-first walk that adds one rook per level, in a column above the
-    last one: each extension ORs the rook's key field into its prefix's key
-    and adds the rook's rank cells to its prefix's sum.
+    A depth-first walk, holding only the path it is on, that adds one rook per
+    level in a column above the last one: each extension ORs the rook's key
+    field into its prefix's key and adds its rank cells to the prefix's sum.
     """
     w = n.bit_length()
     # after[c]: the cells in columns above c, in (row, col) order, with their
@@ -98,22 +99,14 @@ def _walk(n: int) -> tuple[list[RookPlacement], list[int], list[int]]:
         a, b = cell
         for c in range(b):
             after[c].append((cell, 1 << a, b << w * a, (a - b) * (a - b + 1) // 2))
-    out: list[RookPlacement] = []
-    keys: list[int] = []
-    sums: list[int] = []
-    put, put_key, put_sum = out.append, keys.append, sums.append
 
-    def extend(prefix: tuple[Cell, ...], used_rows: int, last_col: int, key: int, total: int) -> None:
-        put(RookPlacement(n, prefix))
-        put_key(key)
-        put_sum(total)
+    def extend(prefix: tuple[Cell, ...], used_rows: int, last_col: int, key: int, total: int) -> Iterator:
+        yield RookPlacement(n, prefix), key, total
         for cell, bit, field, size in after[last_col]:
             if not used_rows & bit:
-                extend(prefix + (cell,), used_rows | bit, cell.col, key | field, total + size)
+                yield from extend(prefix + (cell,), used_rows | bit, cell.col, key | field, total + size)
 
-    extend((), 0, 0, 0, 0)
-    del extend  # it holds itself, and so the lists, in a cycle
-    return out, keys, sums
+    return extend((), 0, 0, 0, 0)
 
 
 def bell_number(n: int) -> int:
@@ -350,14 +343,17 @@ class PosetIndex:
         if not 1 <= n <= INDEX_LIMIT:
             raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
         self.n = n
-        placements, keys, sums = _walk(n)
-        self.placements = placements
+        self.placements, keys, sums = [], [], []
+        for D, key, total in _walk(n):
+            self.placements.append(D)
+            keys.append(key)
+            sums.append(total)
         # a < b entrywise makes the rank-matrix sum grow strictly
-        self._by_position = sorted(range(len(placements)), key=sums.__getitem__)
-        self._position = sorted(range(len(placements)), key=self._by_position.__getitem__)
-        self._at = dict(zip(map(keys.__getitem__, self._by_position), range(len(placements))))
+        self._by_position = sorted(range(len(sums)), key=sums.__getitem__)
+        self._position = sorted(range(len(sums)), key=self._by_position.__getitem__)
+        self._at = dict(zip(map(keys.__getitem__, self._by_position), range(len(sums))))
         del keys, sums  # not held while the masks are built, the peak of the build
-        self._order = _points_order((_rank_points(placements[k]) for k in self._by_position), 1)
+        self._order = _points_order((_rank_points(self.placements[k]) for k in self._by_position), 1)
 
     @property
     def le(self) -> np.ndarray:

@@ -7,21 +7,23 @@ so reports are reproducible and independent of any parallel split.
 
 A suite's check returns ``(checked, failures)``; ``run_suite`` is the one
 place that validates the suite name and sample count, times the check and
-builds the report.  Board-size limits belong to the enumeration and the
-index, which every check calls before any work.
+builds the report.  Board-size limits are checked by the library call each
+suite makes first, ``enumerate_placements`` (a stream: only the index keeps
+the board) or ``poset_index``, which raises LimitExceeded before any work.
 """
 from __future__ import annotations
 
 import math
 import random
 import time
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
 from .board import Cell, kerov_involution, permutation_of, placement_from_rank_matrix, rank_matrix, to_json
 from .errors import BoundViolation
 from .exactlin import _integer_action, random_scalars, random_upper, rank_profile
 from .polarization import _support_certificate, dimensions, mp_sets, polarization_clauses
-from .permutations import _cells, _Order, _points_order, _threshold
+from .permutations import _byte_rows, _cells, _Order, _points_order, _threshold
 from .poset import (
     _rank_points,
     bell_number,
@@ -69,13 +71,9 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
     for each, ``samples`` random (group element, scalars) pairs must leave the
     rank profile equal to the rank matrix.
     """
-    everything = enumerate_placements(n)
-    if n <= 5:
-        chosen = list(enumerate(everything))
-    else:
-        picker = random.Random(seed)
-        indices = sorted(picker.sample(range(len(everything)), 50))
-        chosen = [(k, everything[k]) for k in indices]
+    everything = enumerate(enumerate_placements(n))
+    picks = range(bell_number(n)) if n <= 5 else set(random.Random(seed).sample(range(bell_number(n)), 50))
+    chosen = [(k, D) for k, D in everything if k in picks]
     failures: list[dict] = []
     for k, D in chosen:
         expected = [list(row) for row in rank_matrix(D)]
@@ -120,8 +118,8 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
     clauses that need no rank are checked.
     """
     failures: list[dict] = []
-    everything = enumerate_placements(n)
-    for D in everything:
+    checked = 0
+    for checked, D in enumerate(enumerate_placements(n), 1):
         marks = mp_sets(D)
         try:
             dims = dimensions(D, marks)
@@ -163,7 +161,7 @@ def _thm24(n: int) -> tuple[int, list[dict]]:
                     "expected": dims.dim_theta,
                 }
             )
-    return len(everything), failures
+    return checked, failures
 
 
 def _cor18(n: int) -> tuple[int, list[dict]]:
@@ -216,35 +214,35 @@ def _pairs(idx, differences: Iterable[int]) -> list[tuple[int, int]]:
 
 def _d0max(n: int) -> tuple[int, list[dict]]:
     """Every placement sits below the staircase maximal element."""
-    everything = enumerate_placements(n)
+    everything = enumerate_placements(n)  # first, so an n out of range gets the enumeration's error
     top = maximal_element(n)
     # the top at position 0 and placement k at position k + 1: Down(top) is the
     # AND of the thresholds at the top's entry in every cell of the band
-    rows = [bytes(row) for row in zip(*[_rank_points(D) for D in [top, *everything]])]
-    below = (2 << len(everything)) - 1
+    rows = _byte_rows(map(_rank_points, chain([top], everything)))
+    checked = len(rows[0]) - 1
+    below = board = (2 << checked) - 1
     for _, column, _ in _cells(rows, 1):
         below &= _threshold(column, column[0])
-    below >>= 1
-    failures = [
-        {"placement": to_json(D), "top": to_json(top)} for k, D in enumerate(everything) if not below >> k & 1
-    ]
-    return len(everything), failures
+    # a second walk names the placements outside Down(top), if there are any
+    walk = enumerate(enumerate_placements(n), 1) if below != board else ()
+    return checked, [{"placement": to_json(D), "top": to_json(top)} for k, D in walk if not below >> k & 1]
 
 
 def _counts(n: int) -> tuple[int, list[dict]]:
     """Enumeration count against the Bell triangle, canonical order, round-trips."""
-    everything = enumerate_placements(n)
-    failures: list[dict] = []
-    expected = bell_number(n)
-    if len(everything) != expected:
-        failures.append({"check": "count", "got": len(everything), "expected": expected})
-    if everything != sorted(everything, key=lambda D: D.rooks):
-        failures.append({"check": "canonical-order"})
-    for D in everything:
+    round_trips: list[dict] = []
+    checked, in_order, previous = 0, True, ()
+    for checked, D in enumerate(enumerate_placements(n), 1):
+        in_order &= previous <= D.rooks
+        previous = D.rooks
         back = placement_from_rank_matrix(rank_matrix(D))
         if back != D:
-            failures.append({"check": "round-trip", "placement": to_json(D), "got": to_json(back)})
-    return len(everything), failures
+            round_trips.append({"check": "round-trip", "placement": to_json(D), "got": to_json(back)})
+    expected = bell_number(n)
+    failures = [{"check": "count", "got": checked, "expected": expected}] if checked != expected else []
+    if not in_order:
+        failures.append({"check": "canonical-order"})
+    return checked, failures + round_trips
 
 
 class Suite(NamedTuple):
@@ -264,11 +262,7 @@ SUITES = {
 
 
 def run_suite(name: str, n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
-    """Run one named suite on the n-board and report what it checked and found.
-
-    The board size is checked by the library call each suite makes first
-    (``enumerate_placements`` or ``poset_index``), which raises LimitExceeded.
-    """
+    """Run one named suite on the n-board and report what it checked and found."""
     try:
         suite = SUITES[name]
     except KeyError:

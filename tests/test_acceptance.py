@@ -161,7 +161,7 @@ def test_criterion_7_enumeration_and_roundtrip():
     t0 = time.perf_counter()
     expected = [1, 2, 5, 15, 52, 203, 877, 4140]
     for n, count in enumerate(expected, start=1):
-        assert len(enumerate_placements(n)) == count
+        assert len(list(enumerate_placements(n))) == count
     for n in range(1, 8):
         assert run_suite("d0max", n).passed
     for n in range(1, 7):

@@ -178,7 +178,7 @@ def test_leq_size_mismatch():
 
 def test_partial_order_axioms_exhaustive():
     for n in range(1, 6):
-        everything = enumerate_placements(n)
+        everything = list(enumerate_placements(n))
         # antisymmetry via injectivity of the rank matrix
         assert len({rank_matrix(D) for D in everything}) == len(everything)
         le = [[leq(a, b) for b in everything] for a in everything]

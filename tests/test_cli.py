@@ -151,10 +151,21 @@ def test_verify_json_report(capsys):
 @pytest.mark.parametrize("n", ["0", "11"])
 @pytest.mark.parametrize("suite", list(suites.SUITES))
 def test_verify_limit_is_usage_error(suite, n, capsys):
+    # each suite's first library call checks the limit, before any other work
     assert run(["verify", "--n", n, "--suite", suite]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    scope = "the all-pairs index" if suite in ("thm33", "cor18", "proctor") else "enumeration"
+    assert captured.err == f"error: {scope} supports 1 <= n <= 10, got {n}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--count-only"], ["--count-only", "--json"]])
+@pytest.mark.parametrize("n", ["0", "11"])
+def test_enumerate_limit_is_usage_error(n, flags, capsys):
+    assert run(["enumerate", "--n", n, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: enumeration supports 1 <= n <= 10, got {n}\n"
 
 
 def test_broken_move_is_verification_failure(monkeypatch, capsys):
@@ -527,7 +538,7 @@ def test_counts_reports_every_check(monkeypatch, capsys):
         return moved.get(D, D)
 
     monkeypatch.setattr(suites, "bell_number", lambda n: real_bell(n) + 1)
-    monkeypatch.setattr(suites, "enumerate_placements", lambda n: real_enum(n)[::-1])
+    monkeypatch.setattr(suites, "enumerate_placements", lambda n: iter(list(real_enum(n))[::-1]))
     monkeypatch.setattr(suites, "placement_from_rank_matrix", placement_from_rank_matrix)
     assert failure_list(["verify", "--suite", "counts", "--n", "3"], capsys) == [
         {"check": "count", "got": 5, "expected": 6},

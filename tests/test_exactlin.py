@@ -184,7 +184,7 @@ def test_orbit_profile_matches_fraction_path():
     # the thm15 suite's integer profile against the Fraction action it replaces
     rng = random.Random(31)
     cases = [(D, 5) for n in range(1, 6) for D in enumerate_placements(n)]
-    cases += [(D, 1) for D in rng.sample(enumerate_placements(8), 100)]
+    cases += [(D, 1) for D in rng.sample(list(enumerate_placements(8)), 100)]
     for D, count in cases:
         for _ in range(count):
             xi = random_scalars(D, rng)
@@ -228,7 +228,7 @@ def test_rank_profile_orbit_invariance_sampled():
 
 def test_rank_profile_matches_corner_oracle_on_orbit_samples():
     rng = random.Random(17)
-    everything = enumerate_placements(8)
+    everything = list(enumerate_placements(8))
     for b in upper_samples(8, seed=19, count=1000):
         D = rng.choice(everything)
         form, _ = scaled(placement_form(D, random_scalars(D, rng)))

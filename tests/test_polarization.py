@@ -210,7 +210,7 @@ def test_support_certificate_matches_dense_action(monkeypatch):
     real = polarization.forest_support
     monkeypatch.setattr(polarization, "forest_support", lambda edges: seen.append(edges) or real(edges))
     chosen = [D for n in range(1, 7) for D in enumerate_placements(n)]
-    chosen += random.Random(7).sample(enumerate_placements(7), 100)
+    chosen += random.Random(7).sample(list(enumerate_placements(7)), 100)
     rng = random.Random(24)
     for D in chosen:
         seen.clear()

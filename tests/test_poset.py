@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import compress
 from itertools import permutations as iterperms
 
@@ -30,7 +31,7 @@ from rookposet import (
 from rookposet import suites
 from rookposet.cli import ANALYZE_LIMIT
 from rookposet.errors import AttackingRooks, LimitExceeded, NotIndexed, OutOfBoard
-from rookposet.permutations import _cells, _Order, _points_order, _threshold
+from rookposet.permutations import _byte_rows, _cells, _Order, _points_order, _threshold
 from rookposet.poset import _blocked, _key, _rank_points, _refuse, _steps, _walk
 
 from conftest import broadcast_pairwise_leq, lower_entries, matmul_covers, placements, reference_cover_moves
@@ -50,13 +51,13 @@ def decoded(n, key):
 def test_counts_match_bell_numbers():
     expected = [1, 2, 5, 15, 52, 203, 877, 4140]
     for n, count in enumerate(expected, start=1):
-        assert len(enumerate_placements(n)) == count
+        assert len(list(enumerate_placements(n))) == count
         assert bell_number(n) == count
 
 
 def test_enumeration_is_lexicographic():
     for n in range(1, 7):
-        everything = enumerate_placements(n)
+        everything = list(enumerate_placements(n))
         assert everything == sorted(everything, key=lambda D: D.rooks)
         assert len(set(everything)) == len(everything)
         assert everything[0] == placement(n, [])
@@ -75,7 +76,7 @@ def test_index_limit():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_keys_are_distinct_and_decode_to_the_rooks(n):
-    everything = enumerate_placements(n)
+    everything = list(enumerate_placements(n))
     keys = [_key(D) for D in everything]
     assert len(set(keys)) == len(keys)
     for D, key in zip(everything, keys):
@@ -93,10 +94,9 @@ def test_rank_sums_in_closed_form(n):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_walk_carries_the_keys_and_rank_sums(n):
     # the index takes each placement's key and rank-matrix sum from the walk
-    everything, keys, sums = _walk(n)
-    assert everything == enumerate_placements(n)
-    assert keys == [_key(D) for D in everything]
-    assert sums == [sum(map(sum, rank_matrix(D))) for D in everything]
+    walk = list(_walk(n))
+    everything = list(enumerate_placements(n))
+    assert walk == [(D, _key(D), sum(map(sum, rank_matrix(D)))) for D in everything]
 
 
 # --- removable rooks ----------------------------------------------------------
@@ -465,7 +465,7 @@ def test_essential_cells_are_exactly_the_unimplied_entries():
             for (I, J), column, _ in yielded:
                 assert list(column) == [point_table(points, I, J) for points in lists], (I, J, band)
     for n in range(1, 7):
-        everything = enumerate_placements(n)
+        everything = list(enumerate_placements(n))
         for D, found in zip(everything, essential_sets([_rank_points(D) for D in everything], 1)):
             R = rank_matrix(D)  # entry (i, j) sits at (n + 1 - i, n + 1 - j), on the band J > I
             T = [[0] * (n + 1)] + [
@@ -484,16 +484,18 @@ def test_cells_of_a_list_do_not_depend_on_its_batch():
     # a carry or a borrow between the bytes of neighbouring lists would make
     # a list's cells depend on its company: each list alone against the
     # same list in a shuffled random batch, and every mask in the batch
-    # against its threshold counted from the points
+    # against its threshold counted from the points; the batch read as a
+    # stream gives the byte rows of its transpose
     rng = random.Random(20)
     batches = []
     for n in range(2, 10):
-        everything = enumerate_placements(min(n, 7))
+        everything = list(enumerate_placements(min(n, 7)))
         batches.append(([_rank_points(rng.choice(everything)) for _ in range(rng.randrange(1, 90))], 1))
         m = rng.choice([n, 3 * n, 60])
         batches.append(([rng.sample(range(1, m + 1), m) for _ in range(rng.randrange(1, 90))], 1 - m))
     for lists, band in batches:
         rng.shuffle(lists)
+        assert _byte_rows(iter(lists)) == [bytes(row) for row in zip(*lists)]
         alone = [essential_sets([points], band)[0] for points in lists]
         assert essential_sets(lists, band) == alone
         order = _points_order(lists, band)
@@ -623,6 +625,21 @@ def test_whole_board_suites_reach_n9(suite, checked):
     report = run_suite(suite, 9, samples=1)  # d0max and counts ignore samples
     assert report.passed
     assert report.checked == checked
+
+
+def test_suites_without_an_index_hold_no_board():
+    # the enumeration is a stream: at n = 8 a list of the 4 140 placements
+    # alone takes about 0.5 MB, and d0max holds the board only as byte rows
+    # (one thm15 sample per placement: the work of a sample does not grow
+    # with the board, and 100 of them take 2 s under tracemalloc)
+    for suite in ("thm15", "thm24", "counts", "d0max"):
+        tracemalloc.start()
+        try:
+            run_suite(suite, 8, samples=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * 2**20, (suite, peak)
 
 
 def test_order_property_limit():
