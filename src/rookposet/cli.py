@@ -28,8 +28,8 @@ from .suites import DEFAULT_SAMPLES, SUITES, run_suite
 ANALYZE_LIMIT = 1000
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+#: ``json.dumps(obj, indent=2, sort_keys=True)``, with one encoder for every call
+_dump = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 def _load_placement(args) -> RookPlacement:
@@ -130,6 +130,8 @@ def cmd_covers(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    for name in names:  # every limit before any suite runs
+        SUITES[name].limit(args.n)
     reports = [run_suite(name, args.n, seed=args.seed, samples=args.samples) for name in names]
     if args.json:
         print(_dump([r.to_json() for r in reports]))
@@ -162,8 +164,12 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         count = sum(1 for _ in everything)
         print(_dump({"n": args.n, "count": count}) if args.json else count)
-    elif args.json:
-        print(_dump({"n": args.n, "placements": [to_json(D) for D in everything]}))
+    elif args.json:  # the one-shot document, written a placement at a time
+        head, tail = _dump({"n": args.n, "placements": [None]}).split("null")
+        for D in everything:
+            print(head + _dump(to_json(D)).replace("\n", "\n    "), end="")
+            head = ",\n    "
+        print(tail)
     else:
         for D in everything:
             print(str(D))

@@ -32,9 +32,9 @@ from .permutations import _points_order
 if TYPE_CHECKING:
     import numpy as np
 
-#: hard ceiling for plain enumeration (115 975 placements at n=10); kept equal
-#: to INDEX_LIMIT while ``verify`` checks a suite's limit only as it starts
-ENUM_LIMIT = 10
+#: hard ceiling for plain enumeration, a stream that keeps no placement
+#: (115 975 placements at n=10, 678 570 at n=11)
+ENUM_LIMIT = 11
 #: ceiling for the all-pairs index, which keeps no down-sets and no rank
 #: tables: at n=10 (115 975 placements, 820 582 cover edges) it holds 95
 #: threshold masks, 1.4 MB, per placement the tuple of its masks, all built
@@ -42,6 +42,16 @@ ENUM_LIMIT = 10
 #: position maps 50 MB in all, with a peak of 65 MB while it is built (1.3 s);
 #: numpy is loaded only for the dense views (``le``, ``covers``)
 INDEX_LIMIT = 10
+
+
+def _enumeration_limit(n: int) -> None:
+    if not 1 <= n <= ENUM_LIMIT:
+        raise LimitExceeded(f"enumeration supports 1 <= n <= {ENUM_LIMIT}, got {n}")
+
+
+def _index_limit(n: int) -> None:
+    if not 1 <= n <= INDEX_LIMIT:
+        raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
 
 
 class MoveKind(Enum):
@@ -78,8 +88,7 @@ def enumerate_placements(n: int) -> Iterator[RookPlacement]:
     the empty placement comes first and prefixes precede their extensions.
     The limit is checked at the call, and no placement is kept.
     """
-    if not 1 <= n <= ENUM_LIMIT:
-        raise LimitExceeded(f"enumeration supports 1 <= n <= {ENUM_LIMIT}, got {n}")
+    _enumeration_limit(n)
     return map(itemgetter(0), _walk(n))
 
 
@@ -340,8 +349,7 @@ class PosetIndex:
     """
 
     def __init__(self, n: int):
-        if not 1 <= n <= INDEX_LIMIT:
-            raise LimitExceeded(f"the all-pairs index supports 1 <= n <= {INDEX_LIMIT}, got {n}")
+        _index_limit(n)
         self.n = n
         self.placements, keys, sums = [], [], []
         for D, key, total in _walk(n):

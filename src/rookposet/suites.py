@@ -7,9 +7,7 @@ so reports are reproducible and independent of any parallel split.
 
 A suite's check returns ``(checked, failures)``; ``run_suite`` is the one
 place that validates the suite name and sample count, times the check and
-builds the report.  Board-size limits are checked by the library call each
-suite makes first, ``enumerate_placements`` (a stream: only the index keeps
-the board) or ``poset_index``, which raises LimitExceeded before any work.
+builds the report.
 """
 from __future__ import annotations
 
@@ -25,6 +23,8 @@ from .exactlin import _integer_action, random_scalars, random_upper, rank_profil
 from .polarization import _support_certificate, dimensions, mp_sets, polarization_clauses
 from .permutations import _byte_rows, _cells, _Order, _points_order, _threshold
 from .poset import (
+    _enumeration_limit,
+    _index_limit,
     _rank_points,
     bell_number,
     enumerate_placements,
@@ -69,7 +69,11 @@ def _thm15(n: int, seed: int, samples: int) -> tuple[int, list[dict]]:
 
     Exhaustive over placements for n <= 5, else 50 seeded random placements;
     for each, ``samples`` random (group element, scalars) pairs must leave the
-    rank profile equal to the rank matrix.
+    rank profile equal to the rank matrix.  For i > j the corner of b·f·b⁻¹
+    at rows >= i, columns <= j is b[>=i, >=i]·f[>=i, <=j]·b⁻¹[<=j, <=j], whose
+    outer factors are invertible, so its rank is f's by that identity alone:
+    what this suite tests is the code of ``_integer_action`` and
+    ``rank_profile``.
     """
     everything = enumerate(enumerate_placements(n))
     picks = range(bell_number(n)) if n <= 5 else set(random.Random(seed).sample(range(bell_number(n)), 50))
@@ -214,11 +218,10 @@ def _pairs(idx, differences: Iterable[int]) -> list[tuple[int, int]]:
 
 def _d0max(n: int) -> tuple[int, list[dict]]:
     """Every placement sits below the staircase maximal element."""
-    everything = enumerate_placements(n)  # first, so an n out of range gets the enumeration's error
     top = maximal_element(n)
     # the top at position 0 and placement k at position k + 1: Down(top) is the
     # AND of the thresholds at the top's entry in every cell of the band
-    rows = _byte_rows(map(_rank_points, chain([top], everything)))
+    rows = _byte_rows(map(_rank_points, chain([top], enumerate_placements(n))))
     checked = len(rows[0]) - 1
     below = board = (2 << checked) - 1
     for _, column, _ in _cells(rows, 1):
@@ -248,27 +251,29 @@ def _counts(n: int) -> tuple[int, list[dict]]:
 class Suite(NamedTuple):
     check: Callable[..., tuple[int, list[dict]]]
     sampled: bool  # the check takes (n, seed, samples) rather than (n)
+    limit: Callable[[int], None]  # raises LimitExceeded for a board size the check does not accept
 
 
 SUITES = {
-    "thm15": Suite(_thm15, True),
-    "thm24": Suite(_thm24, False),
-    "thm33": Suite(verify_covers, False),
-    "cor18": Suite(_cor18, False),
-    "proctor": Suite(_proctor, False),
-    "d0max": Suite(_d0max, False),
-    "counts": Suite(_counts, False),
+    "thm15": Suite(_thm15, True, _enumeration_limit),
+    "thm24": Suite(_thm24, False, _enumeration_limit),
+    "thm33": Suite(verify_covers, False, _index_limit),
+    "cor18": Suite(_cor18, False, _index_limit),
+    "proctor": Suite(_proctor, False, _index_limit),
+    "d0max": Suite(_d0max, False, _enumeration_limit),
+    "counts": Suite(_counts, False, _enumeration_limit),
 }
 
 
 def run_suite(name: str, n: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
-    """Run one named suite on the n-board and report what it checked and found."""
+    """Check one named suite's board-size limit, then run it on the n-board and report what it found."""
     try:
         suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'") from None
     if suite.sampled and samples < 1:
         raise ValueError(f"suite {name} needs at least 1 sample, got {samples}")
+    suite.limit(n)
     t0 = time.perf_counter()
     checked, failures = suite.check(*((n, seed, samples) if suite.sampled else (n,)))
     millis = int((time.perf_counter() - t0) * 1000)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -148,24 +150,49 @@ def test_verify_json_report(capsys):
     assert set(reports[0]) == {"suite", "n", "checked", "failures", "seed", "millis"}
 
 
-@pytest.mark.parametrize("n", ["0", "11"])
-@pytest.mark.parametrize("suite", list(suites.SUITES))
+#: the largest board each suite accepts: the index suites stop at 10, the enumeration at 11
+LAST_N = {"thm15": 11, "thm24": 11, "thm33": 10, "cor18": 10, "proctor": 10, "d0max": 11, "counts": 11}
+
+
+@pytest.mark.parametrize(
+    "suite, n", [(suite, n) for suite in suites.SUITES for n in ("0", str(LAST_N[suite] + 1))]
+)
 def test_verify_limit_is_usage_error(suite, n, capsys):
-    # each suite's first library call checks the limit, before any other work
+    # 0 and the first rejected size are refused before any work
     assert run(["verify", "--n", n, "--suite", suite]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    scope = "the all-pairs index" if suite in ("thm33", "cor18", "proctor") else "enumeration"
-    assert captured.err == f"error: {scope} supports 1 <= n <= 10, got {n}\n"
+    scope = "the all-pairs index" if LAST_N[suite] == 10 else "enumeration"
+    assert captured.err == f"error: {scope} supports 1 <= n <= {LAST_N[suite]}, got {n}\n"
+
+
+def test_verify_checks_every_limit_before_any_suite(monkeypatch, capsys):
+    # the no-index suites come first in SUITES and accept n = 11; none may run
+    def refuse(*args):
+        raise AssertionError("a suite ran before every limit was checked")
+
+    for name, suite in suites.SUITES.items():
+        monkeypatch.setitem(suites.SUITES, name, suite._replace(check=refuse))
+    assert run(["verify", "--suite", "all", "--n", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the all-pairs index supports 1 <= n <= 10, got 11\n"
+
+
+def test_verify_thm15_at_n11(capsys):
+    assert run(["verify", "--suite", "thm15", "--n", "11", "--samples", "1", "--json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 50
+    assert report["failures"] == []
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--count-only"], ["--count-only", "--json"]])
-@pytest.mark.parametrize("n", ["0", "11"])
+@pytest.mark.parametrize("n", ["0", "12"])
 def test_enumerate_limit_is_usage_error(n, flags, capsys):
     assert run(["enumerate", "--n", n, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: enumeration supports 1 <= n <= 10, got {n}\n"
+    assert captured.err == f"error: enumeration supports 1 <= n <= 11, got {n}\n"
 
 
 def test_broken_move_is_verification_failure(monkeypatch, capsys):
@@ -591,6 +618,41 @@ def test_enumerate_json(capsys):
     assert run(["enumerate", "--n", "2", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["placements"] == [{"n": 2, "rooks": []}, {"n": 2, "rooks": [[2, 1]]}]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_json_is_the_one_shot_document(n, capsys):
+    everything = list(poset.enumerate_placements(n))
+    for flags, doc in [
+        ([], {"n": n, "placements": [to_json(D) for D in everything]}),
+        (["--count-only"], {"n": n, "count": len(everything)}),
+    ]:
+        assert run(["enumerate", "--n", str(n), "--json", *flags]) == 0
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_enumerate_json_holds_no_board(monkeypatch):
+    # the document is written a placement at a time: at n = 8 the list of the
+    # 4 140 placement dicts alone takes about 2 MB, the text about 0.9 MB
+    class Sink:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.digest.update(text.encode())
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert run(["enumerate", "--n", "8", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.35 * 2**20, peak
+    doc = {"n": 8, "placements": [to_json(D) for D in poset.enumerate_placements(8)]}
+    expected = hashlib.sha256((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    assert sink.digest.digest() == expected.digest()
 
 
 def test_hasse_writes_file(tmp_path, capsys):

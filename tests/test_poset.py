@@ -63,7 +63,7 @@ def test_enumeration_is_lexicographic():
         assert everything[0] == placement(n, [])
 
 
-@pytest.mark.parametrize("n", [0, 11])
+@pytest.mark.parametrize("n", [0, 12])
 def test_enumeration_limit(n):
     with pytest.raises(LimitExceeded):
         enumerate_placements(n)
