@@ -38,7 +38,7 @@ def inversions(w: Sequence[int]) -> int:
 # The order engine
 
 
-def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], bytes, bytes]]:
+def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[bytes, bytes]]:
     """Per cell (I, J), the tables T(I, J) = #{x <= I : point of row x >= J} of all point lists at once.
 
     ``rows[x - 1]`` holds row x of every list, byte p the column of list p's
@@ -51,8 +51,8 @@ def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], 
     off the table or column J - 1 has its point at a row <= I.  Each test is
     an int with one byte, 0 or 1, per list: T(I, J) sums the rows <= I read
     as 1 where the point is >= J, and column J has a point at a row <= I
-    where T(I, J) - T(I, J + 1) is 1; as m < 255, no byte carries.  Yields
-    every cell of the band, row by row, T(I, J) as bytes, and key bytes:
+    where T(I, J) - T(I, J + 1) is 1; as m < 255, no byte carries.  Yields,
+    per cell of the band in row-major order, T(I, J) as bytes and key bytes:
     T(I, J) + 1 for the lists the cell is essential for, 0 for the others.
     """
     size, m = len(rows[0]), len(rows)
@@ -71,7 +71,7 @@ def _cells(rows: Sequence[bytes], band: int) -> Iterator[tuple[tuple[int, int], 
             if J > I + band:  # on the band's edge J = I + band, S and W hold
                 flags &= below[J] & (total[J - 1] - total[J] if J > 1 else ones)
             key = (total[J] + ones) & flags * 255
-            yield (I, J), total[J].to_bytes(size, "little"), key.to_bytes(size, "little")
+            yield total[J].to_bytes(size, "little"), key.to_bytes(size, "little")
         here = below
 
 
@@ -138,7 +138,7 @@ def _points_order(points: Iterable[Sequence[int]], band: int) -> _Order:
     rows = _byte_rows(points)
     positions = range(len(rows[0]))
     masks: list[tuple[int, ...]] = [()] * len(positions)
-    for _, column, key in _cells(rows, band):
+    for column, key in _cells(rows, band):
         values = key.translate(None, b"\0")  # the keys of the flagged positions, in position order
         if not values:
             continue

@@ -8,19 +8,20 @@ off the key's diff with D's.  A step tests only its added cells
 (``_blocked``), and a cell that leaves the board or attacks a rook is
 reported by ``board.placement``, the one rule for a valid placement.  The
 guards are not taken on faith: ``PosetIndex(n)``, the one holder of the
-n-board, reads it off the stream of ``_walk`` and peels all lower covers
-from scratch, from bit-packed down-sets of the rank-matrix order along a
-linear extension, and ``PosetIndex.cover_mismatch`` is the one diff of the
-result keys of a move list against them, for ``verify_covers`` and the
-``covers --brute-force`` command alike.  The down-sets come from the order
-engine in ``permutations``, the only code that compares two placements, on
-the points of their rank matrices (``_rank_points``).
+n-board, sorts the stream of ``_walk`` along a linear extension of the
+rank-matrix order, numbers the placements by their places there alone, and
+peels all lower covers from scratch, from bit-packed down-sets; and
+``PosetIndex.cover_mismatch`` is the one diff of the result keys of a move
+list against them, for ``verify_covers`` and the ``covers --brute-force``
+command alike, which report in enumeration order.  The down-sets come
+from the order engine in ``permutations``, the only code that compares two
+placements, on the points of their rank matrices (``_rank_points``).
 """
 from __future__ import annotations
 
 from bisect import insort
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -38,8 +39,8 @@ ENUM_LIMIT = 11
 #: ceiling for the all-pairs index, which keeps no down-sets and no rank
 #: tables: at n=10 (115 975 placements, 820 582 cover edges) it holds 95
 #: threshold masks, 1.4 MB, per placement the tuple of its masks, all built
-#: in one pass at set-up, 8.9 MB, and with the placements and their key and
-#: position maps 50 MB in all, with a peak of 65 MB while it is built (1.3 s);
+#: in one pass at set-up, 8.9 MB, and with the placements and their key map
+#: 40 MB in all, with a peak of 45 MB while it is built (0.7-1.2 s);
 #: numpy is loaded only for the dense views (``le``, ``covers``)
 INDEX_LIMIT = 10
 
@@ -335,47 +336,45 @@ def _rank_points(D: RookPlacement) -> list[int]:
 
 
 class PosetIndex:
-    """All placements of the n-board, in enumeration order, and their rank-matrix order.
+    """All placements of the n-board along a linear extension of their rank-matrix order.
 
     D <= E iff D's rank matrix is entrywise at most E's, so sorted by their
-    rank-matrix sums the placements form a linear extension, ``_by_position``,
-    in which ``_order`` holds the masks read off their rank matrices' points
-    (``_rank_points``); lower covers are peeled from it on request.
-    A placement's id is its place in the enumeration, and ``_at`` gives its
-    position by its packed key (``_key``); the walk that enumerates the
-    placements hands over their keys and rank-matrix sums.  The dense order
-    and cover relations, 17 MB each at n=8, are numpy bool matrices built on
-    request and not kept; only they import numpy.
+    rank-matrix sums, handed over with their keys by the walk that
+    enumerates them, the placements form a linear extension.  A placement's
+    place in it, its position, is the one numbering of ``placements``, of
+    ``_order``, which holds the masks read off their rank matrices' points
+    (``_rank_points``) and peels lower covers on request, and of ``_at``,
+    which gives a position by its packed key (``_key``).  Placements compare
+    in enumeration order, so ``sorted(placements)`` is that order, for the
+    reports that show it.  The dense order and cover relations, 17 MB each
+    at n=8, are numpy bool matrices built on request and not kept; only
+    they import numpy.
     """
 
     def __init__(self, n: int):
         _index_limit(n)
         self.n = n
-        self.placements, keys, sums = [], [], []
-        for D, key, total in _walk(n):
-            self.placements.append(D)
-            keys.append(key)
-            sums.append(total)
         # a < b entrywise makes the rank-matrix sum grow strictly
-        self._by_position = sorted(range(len(sums)), key=sums.__getitem__)
-        self._position = sorted(range(len(sums)), key=self._by_position.__getitem__)
-        self._at = dict(zip(map(keys.__getitem__, self._by_position), range(len(sums))))
-        del keys, sums  # not held while the masks are built, the peak of the build
-        self._order = _points_order((_rank_points(self.placements[k]) for k in self._by_position), 1)
+        walk = sorted(_walk(n), key=itemgetter(2))
+        self.placements = [D for D, _, _ in walk]
+        self._at = {key: q for q, (_, key, _) in enumerate(walk)}
+        del walk  # not held while the masks are built, the peak of the build
+        self._order = _points_order(map(_rank_points, self.placements), 1)
 
     @property
     def le(self) -> np.ndarray:
-        """le[a, b] is True iff placement a <= placement b (a fresh dense numpy matrix)."""
+        """le[a, b] is True iff placement a <= placement b, by position (a fresh dense numpy matrix)."""
         import numpy as np
 
-        size = (len(self.placements) + 7) // 8
-        down = b"".join(self._order.down(q).to_bytes(size, "little") for q in self._position)
-        bits = np.unpackbits(np.frombuffer(down, np.uint8).reshape(-1, size), axis=1, bitorder="little")
-        return bits.view(bool)[:, self._position].T
+        count = len(self.placements)
+        size = (count + 7) // 8
+        down = b"".join(self._order.down(q).to_bytes(size, "little") for q in range(count))
+        packed = np.frombuffer(down, np.uint8).reshape(-1, size)
+        return np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool).T
 
     @property
     def covers(self) -> np.ndarray:
-        """covers[t, d] is True iff placement t is an immediate predecessor of d (dense numpy)."""
+        """covers[t, d] is True iff placement t is an immediate predecessor of d, by position (numpy)."""
         import numpy as np
 
         out = np.zeros((len(self.placements),) * 2, dtype=bool)
@@ -385,33 +384,26 @@ class PosetIndex:
 
     def index_of(self, D: RookPlacement) -> int:
         q = self._at.get(_key(D)) if D.n == self.n else None
-        k = None if q is None else self._by_position[q]
-        if k is None or self.placements[k] != D:
+        if q is None or self.placements[q] != D:
             raise NotIndexed(f"{D} is not a placement of the {self.n}-board index")
-        return k
+        return q
 
     def lower_cover_ids(self, d: int) -> list[int]:
-        """Ids of the immediate predecessors of placement d, ascending."""
-        return sorted(map(self._by_position.__getitem__, self._order.lower_covers(self._position[d])))
+        """Positions of the immediate predecessors of the placement at position d, ascending."""
+        return sorted(self._order.lower_covers(d))
 
     def cover_mismatch(self, d: int, keys: Iterable[int]) -> dict | None:
-        """None if ``keys`` are exactly the keys of d's lower covers, else the missing and extra ones, by id.
+        """None if ``keys`` are exactly the keys of d's lower covers, else the missing and extra placements.
 
-        The keys are read as positions; a match is tested as the peel's list
-        of positions, highest first.  A repeated key fails that test and, like
-        any other, goes to the set diff.
+        d is a position, a repeated key counts once, and each list comes in
+        enumeration order.
         """
-        covers = self._order.lower_covers(self._position[d])
-        got = sorted(map(self._at.__getitem__, keys), reverse=True)
-        if got == covers:
-            return None
-        got, expected = set(got), set(covers)
+        got, expected = set(map(self._at.__getitem__, keys)), set(self._order.lower_covers(d))
         if got == expected:
             return None
-        ids = self._by_position
         return {
-            "missing": [to_json(self.placements[t]) for t in sorted(ids[q] for q in expected - got)],
-            "extra": [to_json(self.placements[t]) for t in sorted(ids[q] for q in got - expected)],
+            "missing": [to_json(D) for D in sorted(self.placements[q] for q in expected - got)],
+            "extra": [to_json(D) for D in sorted(self.placements[q] for q in got - expected)],
         }
 
 
@@ -425,20 +417,20 @@ def verify_covers(n: int) -> tuple[int, list[dict]]:
 
     The steps' result keys go to the cover diff as they are, so no result
     is built.  Returns the number of placements checked and one witness per
-    mismatch.  A move that raises (say, a result with attacking rooks) is a
-    mismatch too, whose witness carries the error.
+    mismatch, in enumeration order.  A move that raises (say, a result with
+    attacking rooks) is a mismatch too, whose witness carries the error.
     """
     idx = poset_index(n)
-    failures: list[dict] = []
+    failures: list[tuple[RookPlacement, dict]] = []
     for d, D in enumerate(idx.placements):
         try:
             mismatch = idx.cover_mismatch(d, _steps(D))
         except RookError as exc:
-            failures.append({"placement": to_json(D), "error": str(exc)})
+            failures.append((D, {"placement": to_json(D), "error": str(exc)}))
             continue
         if mismatch:
-            failures.append({"placement": to_json(D), **mismatch})
-    return len(idx.placements), failures
+            failures.append((D, {"placement": to_json(D), **mismatch}))
+    return len(idx.placements), [witness for _, witness in sorted(failures, key=itemgetter(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +449,16 @@ def maximal_element(n: int) -> RookPlacement:
 def hasse_dot(n: int) -> Iterator[str]:
     """Lines of the Graphviz digraph of the covering relation, one edge D -> cover.
 
-    The index is built at the call; the lines are made as they are read.
+    The index is built at the call; the lines are made as they are read,
+    the nodes and the covers of each in enumeration order.
     """
     idx = poset_index(n)
     labels = ['"' + "".join(f"({c.row},{c.col})" for c in D.rooks) + '"' for D in idx.placements]
+    ordered = partial(sorted, key=idx.placements.__getitem__)  # positions, into enumeration order
+    nodes = ordered(range(len(labels)))
     return chain(
         ["digraph hasse {\n", "  node [shape=box];\n"],
-        (f"  {label};\n" for label in labels),
-        (f"  {labels[d]} -> {labels[t]};\n" for d in range(len(labels)) for t in idx.lower_cover_ids(d)),
+        (f"  {labels[d]};\n" for d in nodes),
+        (f"  {labels[d]} -> {labels[t]};\n" for d in nodes for t in ordered(idx.lower_cover_ids(d))),
         ["}\n"],
     )

@@ -175,8 +175,7 @@ def _cor18(n: int) -> tuple[int, list[dict]]:
     if n >= 2:
         le, sigma_le = idx._order, _bruhat_order(idx, kerov_involution)
         for a, b in _pairs(idx, (le.down(q) ^ sigma_le.down(q) for q in range(len(idx.placements)))):
-            p, q = idx._position[a], idx._position[b]
-            leq = bool(le.down(q) >> p & 1)  # the pair is in the XOR: the other order says the opposite
+            leq = bool(le.down(b) >> a & 1)  # the pair is in the XOR: the other order says the opposite
             failures.append(
                 {
                     "first": to_json(idx.placements[a]),
@@ -202,18 +201,17 @@ def _proctor(n: int) -> tuple[int, list[dict]]:
 def _bruhat_order(idx, perm_of) -> _Order:
     """Bruhat order on ``perm_of`` of the placements, at the index's positions, by dominance tables."""
     m = len(perm_of(idx.placements[0]))  # the tables fill the m-square
-    return _points_order((perm_of(idx.placements[k]) for k in idx._by_position), 1 - m)
+    return _points_order(map(perm_of, idx.placements), 1 - m)
 
 
 def _pairs(idx, differences: Iterable[int]) -> list[tuple[int, int]]:
-    """The id pairs (a, b), row-major, whose positions (p, q) are the bits p set in the q-th difference."""
-    ids = idx._by_position
+    """Positions (p, q) with bit p set in the q-th difference, in enumeration order of their placements."""
     out = []
     for q, x in enumerate(differences):
         while x:
-            out.append((ids[(x & -x).bit_length() - 1], ids[q]))
+            out.append(((x & -x).bit_length() - 1, q))
             x &= x - 1
-    return sorted(out)
+    return sorted(out, key=lambda pair: (idx.placements[pair[0]], idx.placements[pair[1]]))
 
 
 def _d0max(n: int) -> tuple[int, list[dict]]:
@@ -224,7 +222,7 @@ def _d0max(n: int) -> tuple[int, list[dict]]:
     rows = _byte_rows(map(_rank_points, chain([top], enumerate_placements(n))))
     checked = len(rows[0]) - 1
     below = board = (2 << checked) - 1
-    for _, column, _ in _cells(rows, 1):
+    for column, _ in _cells(rows, 1):
         below &= _threshold(column, column[0])
     # a second walk names the placements outside Down(top), if there are any
     walk = enumerate(enumerate_placements(n), 1) if below != board else ()

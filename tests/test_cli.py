@@ -239,9 +239,31 @@ def test_extra_move_is_verification_failure(monkeypatch, capsys):
     ]
 
 
+def test_cover_witnesses_come_in_enumeration_order(monkeypatch, capsys):
+    # the sweep runs along the index's linear extension and the report in
+    # enumeration order: three placements that lose every step fail with all
+    # their covers missing, and along the extension neither the three nor
+    # the covers of the last two come in enumeration order
+    index = poset.poset_index(5)
+    broken = [placement(5, [(3, 1), (4, 2), (5, 4)]), placement(5, [(3, 2)]), placement(5, [(5, 1)])]
+    covers = {D: [index.placements[t] for t in index.lower_cover_ids(index.index_of(D))] for D in broken}
+    assert [len(covers[D]) for D in broken] == [3, 1, 3]
+    positions = [index.index_of(D) for D in broken]
+    assert positions != sorted(positions)
+    assert [covers[D] == sorted(covers[D]) for D in broken] == [False, True, False]
+    real = poset._steps
+    monkeypatch.setattr(poset, "_steps", lambda D: [] if D in broken else real(D))
+    assert run(["verify", "--n", "5", "--suite", "thm33", "--json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["failures"] == [
+        {"placement": to_json(D), "missing": [to_json(E) for E in sorted(covers[D])], "extra": []}
+        for D in broken
+    ]
+
+
 def test_repeated_step_is_not_a_failure(monkeypatch, capsys):
-    # a step emitted twice reaches one cover: the position-space match fails
-    # on the repeat, and the set difference of the ids passes it
+    # a step emitted twice reaches one cover, and the cover diff counts its
+    # key once
     real = poset._steps
 
     def steps(D):

@@ -395,11 +395,21 @@ def test_position_missing_from_its_own_down_set_fails():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_index_holds_the_placements_along_a_linear_extension(n):
+    # positions are the index's one numbering: each placement tops its own
+    # down-set, so none is below an earlier one, and the placements sort
+    # back into the enumeration order
+    index = poset_index(n)
+    assert all(index._order.down(q) >> q == 1 for q in range(len(index.placements)))
+    assert sorted(index.placements) == list(enumerate_placements(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_essential_down_sets_match_full_tables(n):
     # the engine compares at essential cells only; the oracle compares the
     # full rank rows and dominance tables of every pair
     index = poset_index(n)
-    ranked = [index.placements[k] for k in index._by_position]
+    ranked = index.placements
     tables = {"rank": [lower_entries(rank_matrix(D)) for D in ranked]}
     orders = {"rank": index._order}
     for name, perm_of in [("sigma", kerov_involution), ("w", permutation_of)]:
@@ -412,10 +422,16 @@ def test_essential_down_sets_match_full_tables(n):
         assert np.array_equal(down_matrix(order), le), name
 
 
+def band_cells(m, band):
+    """The cells (I, J) of the m-square with J - I >= band, row-major: the order ``_cells`` yields them in."""
+    return [(I, J) for I in range(1, m + 1) for J in range(max(1, I + band), m + 1)]
+
+
 def essential_sets(lists, band):
     """Per point list, {((I, J), T(I, J))} at the cells that ``_cells`` flags for it."""
     out = [set() for _ in lists]
-    for cell, column, key in _cells([bytes(row) for row in zip(*lists)], band):
+    yielded = _cells([bytes(row) for row in zip(*lists)], band)
+    for cell, (column, key) in zip(band_cells(len(lists[0]), band), yielded, strict=True):
         for p in compress(range(len(key)), key):
             assert column[p] == key[p] - 1, (cell, p)
             out[p].add((cell, key[p] - 1))
@@ -460,9 +476,8 @@ def test_essential_cells_are_exactly_the_unimplied_entries():
             (list(iterperms(range(1, m + 1))), 1 - m),
         ]:
             yielded = list(_cells([bytes(row) for row in zip(*lists)], band))
-            band_cells = [(I, J) for I in range(1, m + 1) for J in range(max(1, I + band), m + 1)]
-            assert [cell for cell, _, _ in yielded] == band_cells, (m, band)
-            for (I, J), column, _ in yielded:
+            assert len(yielded) == len(band_cells(m, band)), (m, band)
+            for (I, J), (column, _) in zip(band_cells(m, band), yielded):
                 assert list(column) == [point_table(points, I, J) for points in lists], (I, J, band)
     for n in range(1, 7):
         everything = list(enumerate_placements(n))
